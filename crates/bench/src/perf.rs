@@ -505,10 +505,13 @@ pub fn build_scale_out_section(
     };
     let physics_metrics = |run: &ScaleOutRun| {
         let mut metrics = run.metrics.clone();
+        // Solver work (invocations and their ring evaluations), cache and
+        // manager accounting legitimately differ between the engines.
         metrics.counters.retain(|key, _| {
             !key.starts_with("cache.")
                 && !key.starts_with("solver.")
                 && !key.starts_with("manager.")
+                && !key.starts_with("photonics.")
         });
         metrics
     };

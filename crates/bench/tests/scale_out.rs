@@ -26,14 +26,18 @@ fn physics(report: &RunReport) -> RunReport {
     report
 }
 
-/// Deterministic metrics minus the cache, solver and manager counters,
-/// which legitimately differ between the shared-cache and per-link-cache
-/// engines (the shared cache deduplicates the initial fleet configuration,
-/// so the per-link engine both re-solves more and asks its managers more).
+/// Deterministic metrics minus the cache, solver (invocations and their
+/// `photonics.ring_evals` work) and manager counters, which legitimately
+/// differ between the shared-cache and per-link-cache engines (the shared
+/// cache deduplicates the initial fleet configuration, so the per-link
+/// engine both re-solves more and asks its managers more).
 fn physics_metrics(run: &ScaleOutRun) -> MetricsSnapshot {
     let mut metrics = run.metrics.clone();
     metrics.counters.retain(|key, _| {
-        !key.starts_with("cache.") && !key.starts_with("solver.") && !key.starts_with("manager.")
+        !key.starts_with("cache.")
+            && !key.starts_with("solver.")
+            && !key.starts_with("manager.")
+            && !key.starts_with("photonics.")
     });
     metrics
 }
@@ -144,6 +148,7 @@ fn snapshot_warm_start_runs_without_a_single_solve() {
     // The solver never ran, so the warm run's telemetry has no trace of it.
     assert!(!warm.metrics.counters.contains_key("solver.invocations"));
     assert!(!warm.metrics.counters.contains_key("cache.misses"));
+    assert!(!warm.metrics.counters.contains_key("photonics.ring_evals"));
 
     // Saving is idempotent: the warm run re-persisted byte-identical state.
     let first = std::fs::read_to_string(&path).expect("snapshot readable");

@@ -57,6 +57,11 @@ pub fn erf(x: f64) -> f64 {
 
 /// Inverse complementary error function: returns `x` such that `erfc(x) = y`.
 ///
+/// The root is bracketed by up to 200 bisection steps and Newton-polished.
+/// The bisection stops early at its exact fixed point: once a step leaves
+/// the `(lo, hi)` bracket bitwise unchanged, every later step would too, so
+/// the result is bit-identical to running all 200.
+///
 /// # Panics
 ///
 /// Panics unless `0 < y < 2`.
@@ -79,11 +84,12 @@ pub fn erfc_inv(y: f64) -> f64 {
     let mut hi = 30.0f64;
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if erfc(mid) > y {
-            lo = mid;
-        } else {
-            hi = mid;
+        let (next_lo, next_hi) = if erfc(mid) > y { (mid, hi) } else { (lo, mid) };
+        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+            break;
         }
+        lo = next_lo;
+        hi = next_hi;
     }
     let mut x = 0.5 * (lo + hi);
     // Newton polish: d/dx erfc(x) = -2/sqrt(pi) * exp(-x^2).
@@ -170,6 +176,64 @@ mod tests {
             let x = erfc_inv(y);
             let back = erfc(x);
             assert!((back - y).abs() / y < 1e-5, "y = 1e-{exp}: back = {back}");
+        }
+    }
+
+    /// `erfc_inv` with a fixed 200-step bisection and no early stop.
+    fn erfc_inv_200_steps(y: f64) -> f64 {
+        if (y - 1.0).abs() < 1e-300 {
+            return 0.0;
+        }
+        let mut lo = -30.0f64;
+        let mut hi = 30.0f64;
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if erfc(mid) > y {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut x = 0.5 * (lo + hi);
+        for _ in 0..4 {
+            let f = erfc(x) - y;
+            let dfdx = -2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp();
+            if dfdx.abs() < 1e-300 {
+                break;
+            }
+            let step = f / dfdx;
+            if !step.is_finite() {
+                break;
+            }
+            x -= step;
+        }
+        x
+    }
+
+    #[test]
+    fn erfc_inv_fixed_point_stop_is_bit_identical_to_200_steps() {
+        // A dense linear sweep of (0, 2), log sweeps towards both ends, and
+        // the extreme representable arguments.
+        let linear = (1..20_000).map(|i| f64::from(i) * 1e-4);
+        let towards_zero = (1..=3000).map(|i| 10f64.powf(-f64::from(i) / 10.0));
+        let towards_two = (1..=160).map(|i| 2.0 - 10f64.powf(-f64::from(i) / 10.0));
+        let extremes = [
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0 - f64::EPSILON,
+            2.0 - f64::EPSILON,
+        ];
+        for y in linear
+            .chain(towards_zero)
+            .chain(towards_two)
+            .chain(extremes)
+            .filter(|&y| y > 0.0 && y < 2.0)
+        {
+            assert_eq!(
+                erfc_inv(y).to_bits(),
+                erfc_inv_200_steps(y).to_bits(),
+                "erfc_inv({y:e})"
+            );
         }
     }
 

@@ -905,6 +905,10 @@ fn solve_error_to_json(error: &SolveError) -> Json {
             ("target_ber", Json::Num(*target_ber)),
             ("optical_microwatts", Json::Num(*optical_microwatts)),
         ]),
+        SolveError::NonFiniteTemperature { temperature_c } => Json::obj(vec![
+            ("kind", "non_finite_temperature".into()),
+            ("temperature_c", Json::Num(*temperature_c)),
+        ]),
     }
 }
 
@@ -932,6 +936,9 @@ fn solve_error_from_json(value: &Json) -> Result<SolveError, String> {
                 value.get("optical_microwatts"),
                 "optical_microwatts",
             )?,
+        }),
+        Some("non_finite_temperature") => Ok(SolveError::NonFiniteTemperature {
+            temperature_c: f64_from_json(value.get("temperature_c"), "temperature_c")?,
         }),
         other => Err(format!("unknown solve-error kind {other:?}")),
     }

@@ -535,12 +535,15 @@ impl NanophotonicLink {
         if !self.power_model.config().supports(scheme) {
             return Err(LinkError::SchemeNotSustainable { scheme });
         }
-        let solved = self.solver.solve_at(scheme, target_ber, temperature);
+        let (solved, ring_evals) = self
+            .solver
+            .solve_at_counted(scheme, target_ber, temperature);
         self.telemetry.emit(|| TelemetryEvent::SolverInvoked {
             scheme: scheme.to_string(),
             target_ber,
             temperature_c: temperature.value(),
             feasible: solved.is_ok(),
+            ring_evals,
         });
         let (laser, thermal) = solved?;
         let power = self.power_model.breakdown_with_tuning(
@@ -709,6 +712,20 @@ mod tests {
 
     fn link() -> NanophotonicLink {
         NanophotonicLink::paper_link()
+    }
+
+    #[test]
+    fn non_finite_temperature_is_a_typed_link_error() {
+        let l = link();
+        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let temperature = Celsius::new(1.0) * scale;
+            assert!(matches!(
+                l.operating_point_at(EccScheme::Hamming7164, 1e-11, temperature),
+                Err(LinkError::Infeasible(
+                    SolveError::NonFiniteTemperature { .. }
+                ))
+            ));
+        }
     }
 
     #[test]

@@ -78,7 +78,10 @@ pub fn coded_ber(scheme: EccScheme, raw_ber: f64) -> f64 {
 /// This is the inversion of Eq. 2 that Section IV-D alludes to ("Calculating
 /// the SNR from BER when considering Hamming codes requires to invert
 /// Equations 3 and 2"); it is solved by bisection since the transfer function
-/// is strictly increasing in `p`.
+/// is strictly increasing in `p`.  The bisection runs up to 200 steps and
+/// stops early at its exact fixed point: once a step leaves the `(lo, hi)`
+/// bracket bitwise unchanged, every later step would too, so the result is
+/// bit-identical to running all 200.
 ///
 /// # Panics
 ///
@@ -103,11 +106,16 @@ pub fn raw_ber_for_target(scheme: EccScheme, target_ber: f64) -> f64 {
     let mut hi = 0.5f64;
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if coded_ber(scheme, mid) > target_ber {
-            hi = mid;
+        let (next_lo, next_hi) = if coded_ber(scheme, mid) > target_ber {
+            (lo, mid)
         } else {
-            lo = mid;
+            (mid, hi)
+        };
+        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+            break;
         }
+        lo = next_lo;
+        hi = next_hi;
     }
     lo
 }
@@ -159,6 +167,43 @@ fn binomial(n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `raw_ber_for_target` with a fixed 200-step bisection and no early
+    /// stop.
+    fn raw_ber_200_steps(scheme: EccScheme, target_ber: f64) -> f64 {
+        if matches!(scheme, EccScheme::Uncoded | EccScheme::ParityOnly) {
+            return target_ber;
+        }
+        let mut lo = 0.0f64;
+        let mut hi = 0.5f64;
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if coded_ber(scheme, mid) > target_ber {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn raw_ber_fixed_point_stop_is_bit_identical_to_200_steps() {
+        // 40 targets per decade over (1e-15, 0.5) for every scheme.
+        let targets = (1..=600)
+            .map(|i| 10f64.powf(-15.0 + f64::from(i) / 40.0))
+            .filter(|&t| t < 0.5)
+            .chain([0.5 - f64::EPSILON, 1e-15 * (1.0 + f64::EPSILON)]);
+        for target in targets {
+            for scheme in EccScheme::all() {
+                assert_eq!(
+                    raw_ber_for_target(scheme, target).to_bits(),
+                    raw_ber_200_steps(scheme, target).to_bits(),
+                    "{scheme} at {target:e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn hamming_ber_small_p_quadratic() {

@@ -13,6 +13,30 @@
 //! (modulator OFF) and for a '0' (modulator ON, attenuated by the extinction
 //! ratio) — because that is what Eq. 4 of the paper compares against the dark
 //! current to form the SNR.
+//!
+//! # Cost of the link budget
+//!
+//! Work is counted in *ring evaluations*: one
+//! [`MicroRingResonator::through_transmission`] or
+//! [`MicroRingResonator::drop_transmission`] call.  On a channel of N
+//! wavelengths:
+//!
+//! * [`MwsrChannel::path_transmission`] of one lane costs N + 1: the granted
+//!   modulator, the N − 1 other drop filters and the lane's own drop filter;
+//! * the crosstalk of one lane costs N − 1 leak evaluations once the
+//!   aggressors' paths are known;
+//! * [`MwsrChannel::worst_case_crosstalk`] of one lane recomputes the
+//!   aggressors' paths and costs (N − 1)(N + 2);
+//! * [`MwsrChannel::extinction_factor`] costs 2 (ON and OFF through ports).
+//!
+//! A solve therefore builds the budget vectors once — the path of every
+//! lane (N(N + 1)) and, where every lane's crosstalk is needed, the
+//! crosstalk of every lane read from those paths (N(N − 1)) — and every lane
+//! reads its path and crosstalk from them: 2N² evaluations for the whole
+//! channel instead of the O(N³) of asking
+//! [`MwsrChannel::worst_case_crosstalk`] lane by lane.  The vectors hold
+//! exactly the values the per-lane functions return, summed in the same
+//! order, so both routes agree bit for bit.
 
 use onoc_units::{Decibels, LinearRatio, Microwatts, Milliwatts, Nanometers};
 use serde::{Deserialize, Serialize};
@@ -349,21 +373,77 @@ impl MwsrChannel {
     /// '1' at the full laser output power (the conservative assumption of
     /// ref. \[8\]).
     ///
+    /// This recomputes the path of every aggressor; a solve that needs more
+    /// than one lane reads the crosstalk from its precomputed paths instead.
+    ///
     /// # Panics
     ///
     /// Panics if `index` is outside the wavelength grid.
     #[must_use]
     pub fn worst_case_crosstalk(&self, index: usize) -> Microwatts {
+        self.crosstalk_with(index, |other| self.path_transmission(other))
+    }
+
+    /// The path transmission of every lane, in wavelength order — the
+    /// budget vector a solve computes once (N(N + 1) ring evaluations).
+    #[must_use]
+    pub(crate) fn path_transmissions(&self) -> Vec<LinearRatio> {
+        (0..self.geometry.wavelength_count())
+            .map(|index| self.path_transmission(index))
+            .collect()
+    }
+
+    /// [`MwsrChannel::worst_case_crosstalk`] of lane `index`, read from the
+    /// precomputed `paths` of [`MwsrChannel::path_transmissions`]: only the
+    /// N − 1 leaks into the victim's drop filter are evaluated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is outside the wavelength grid or `paths` does not
+    /// hold one entry per wavelength.
+    #[must_use]
+    pub(crate) fn crosstalk_from_paths(&self, index: usize, paths: &[LinearRatio]) -> Microwatts {
+        self.crosstalk_with(index, |other| paths[other])
+    }
+
+    /// [`MwsrChannel::crosstalk_from_paths`] of every lane, in wavelength
+    /// order (N(N − 1) ring evaluations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `paths` does not hold one entry per wavelength.
+    #[must_use]
+    pub(crate) fn crosstalks_from_paths(&self, paths: &[LinearRatio]) -> Vec<Microwatts> {
+        (0..self.geometry.wavelength_count())
+            .map(|index| self.crosstalk_from_paths(index, paths))
+            .collect()
+    }
+
+    /// Ring evaluations of one [`MwsrChannel::path_transmission`]: N + 1.
+    #[must_use]
+    pub(crate) fn path_ring_evals(&self) -> u64 {
+        self.geometry.wavelength_count() as u64 + 1
+    }
+
+    /// Ring evaluations of one [`MwsrChannel::crosstalk_from_paths`]: N − 1.
+    #[must_use]
+    pub(crate) fn crosstalk_ring_evals(&self) -> u64 {
+        self.geometry.wavelength_count() as u64 - 1
+    }
+
+    /// Ring evaluations of one [`MwsrChannel::extinction_factor`].
+    pub(crate) const EXTINCTION_RING_EVALS: u64 = 2;
+
+    /// The crosstalk sum shared by every crosstalk entry point, with the
+    /// aggressor paths supplied by `path`.
+    fn crosstalk_with(&self, index: usize, path: impl Fn(usize) -> LinearRatio) -> Microwatts {
         let victim = self.drop_filter_at(index);
         let mut total = Microwatts::zero();
         for other in self.geometry.grid.other_channels(index) {
             let aggressor_wavelength = self.geometry.grid.wavelength(other);
             // The aggressor reaches the reader with the same path loss as the
             // victim (same worst-case writer), at the maximum laser output.
-            let received = self
-                .laser
-                .max_output()
-                .scaled_by(self.path_transmission(other));
+            let received = self.laser.max_output().scaled_by(path(other));
             let leak = victim.drop_transmission(aggressor_wavelength, RingState::Off);
             total += received.scaled_by(leak);
         }

@@ -12,6 +12,27 @@
 //!
 //! which is exactly the computation behind Fig. 5 of the paper, and the
 //! building block for Fig. 6.
+//!
+//! # One link budget per solve
+//!
+//! The BER side of the chain (raw BER, SNR) depends only on the scheme and
+//! the target, so it is inverted once per solve and shared by every
+//! candidate channel and lane.  The optical side reads the budget vectors of
+//! [`MwsrChannel`] (see its module docs for the per-call costs), built once
+//! per solve.  On a channel of N wavelengths, in ring evaluations:
+//!
+//! * [`LaserPowerSolver::worst_case_wavelength`]: the path vector and the
+//!   crosstalk vector, 2N², then a scan of the crosstalk vector;
+//! * [`LaserPowerSolver::solve_on_wavelength`]: the path vector plus the
+//!   victim's crosstalk and extinction factor, N(N + 1) + (N − 1) + 2;
+//! * [`LaserPowerSolver::solve`] (the worst-crosstalk lane): 2N² + 2;
+//! * [`LaserPowerSolver::solve_worst_case`]: 2N² plus one extinction factor
+//!   per lane, 2N² + 2N — O(N) path evaluations, not one full budget per
+//!   lane.
+//!
+//! [`crate::thermal::ThermalSolver::solve_at_counted`] returns the count of
+//! a whole solve next to its result; it is a pure function of the path the
+//! solve took.
 
 use onoc_ber::snr::ber_from_snr;
 use onoc_ber::ReceiverModel;
@@ -52,6 +73,12 @@ pub enum SolveError {
         /// Requested laser optical output in µW when the solve diverged.
         optical_microwatts: f64,
     },
+    /// The chip temperature is not finite, or drives the ring drift past the
+    /// range of `f64`: no ring resonance can be placed there.
+    NonFiniteTemperature {
+        /// The offending temperature in °C.
+        temperature_c: f64,
+    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -79,6 +106,9 @@ impl std::fmt::Display for SolveError {
                 "{scheme} at BER {target_ber:.1e} drives the laser into thermal runaway \
                  at {optical_microwatts:.1} uW of optical output"
             ),
+            Self::NonFiniteTemperature { temperature_c } => {
+                write!(f, "chip temperature {temperature_c} C is not finite")
+            }
         }
     }
 }
@@ -108,6 +138,39 @@ pub struct LaserOperatingPoint {
     pub laser_efficiency: f64,
 }
 
+/// The BER side of a solve: the raw channel BER a scheme tolerates at a
+/// target decoded BER and the SNR that raw BER needs.  It depends on neither
+/// the channel nor the temperature, so a solve inverts it once and every
+/// candidate channel and lane shares it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BerRequirement {
+    scheme: EccScheme,
+    target_ber: f64,
+    raw_ber: f64,
+    snr: f64,
+}
+
+impl BerRequirement {
+    /// Inverts the ECC transfer function and the SNR–BER relation for
+    /// `scheme` at `target_ber`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::InvalidTarget`] if `target_ber` is outside `(0, 0.5)`.
+    pub(crate) fn new(scheme: EccScheme, target_ber: f64) -> Result<Self, SolveError> {
+        if !(target_ber > 0.0 && target_ber < 0.5) {
+            return Err(SolveError::InvalidTarget { target_ber });
+        }
+        let raw_ber = raw_ber_for_target(scheme, target_ber);
+        Ok(Self {
+            scheme,
+            target_ber,
+            raw_ber,
+            snr: onoc_ber::snr::snr_from_ber_uncoded(raw_ber),
+        })
+    }
+}
+
 /// Solves laser operating points over an [`MwsrChannel`].
 #[derive(Debug, Clone)]
 pub struct LaserPowerSolver {
@@ -130,19 +193,11 @@ impl LaserPowerSolver {
     }
 
     /// Index of the wavelength with the worst (largest) crosstalk, used as
-    /// the sizing case for the whole channel.
+    /// the sizing case for the whole channel.  Ties go to the highest index.
     #[must_use]
     pub fn worst_case_wavelength(&self) -> usize {
-        let count = self.channel.geometry().wavelength_count();
-        (0..count)
-            .max_by(|&a, &b| {
-                self.channel
-                    .worst_case_crosstalk(a)
-                    .value()
-                    .partial_cmp(&self.channel.worst_case_crosstalk(b).value())
-                    .expect("crosstalk powers are finite")
-            })
-            .expect("grid has at least one wavelength")
+        let paths = self.channel.path_transmissions();
+        worst_crosstalk_lane(&self.channel.crosstalks_from_paths(&paths))
     }
 
     /// Solves the operating point of `scheme` for `target_ber` on the
@@ -159,7 +214,34 @@ impl LaserPowerSolver {
         scheme: EccScheme,
         target_ber: f64,
     ) -> Result<LaserOperatingPoint, SolveError> {
-        self.solve_on_wavelength(scheme, target_ber, self.worst_case_wavelength())
+        let requirement = BerRequirement::new(scheme, target_ber)?;
+        self.solve_worst_crosstalk_lane(&requirement)
+            .0
+            .map(|(point, _)| point)
+    }
+
+    /// Solves `requirement` on the worst-crosstalk wavelength and returns the
+    /// point with its lane — [`LaserPowerSolver::worst_case_wavelength`] and
+    /// [`LaserPowerSolver::solve_on_wavelength`] over one shared budget —
+    /// with its ring evaluations (2N² + 2).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LaserPowerSolver::solve`].
+    pub(crate) fn solve_worst_crosstalk_lane(
+        &self,
+        requirement: &BerRequirement,
+    ) -> (Result<(LaserOperatingPoint, usize), SolveError>, u64) {
+        let paths = self.channel.path_transmissions();
+        let crosstalks = self.channel.crosstalks_from_paths(&paths);
+        let lane = worst_crosstalk_lane(&crosstalks);
+        let solved = self
+            .point_on_lane(requirement, crosstalks[lane], paths[lane].value(), lane)
+            .map(|point| (point, lane));
+        (
+            solved,
+            self.full_budget_ring_evals() + MwsrChannel::EXTINCTION_RING_EVALS,
+        )
     }
 
     /// Solves the operating point on a specific wavelength index.
@@ -177,18 +259,105 @@ impl LaserPowerSolver {
         target_ber: f64,
         wavelength: usize,
     ) -> Result<LaserOperatingPoint, SolveError> {
-        if !(target_ber > 0.0 && target_ber < 0.5) {
-            return Err(SolveError::InvalidTarget { target_ber });
+        let requirement = BerRequirement::new(scheme, target_ber)?;
+        let paths = self.channel.path_transmissions();
+        let crosstalk = self.channel.crosstalk_from_paths(wavelength, &paths);
+        self.point_on_lane(
+            &requirement,
+            crosstalk,
+            paths[wavelength].value(),
+            wavelength,
+        )
+    }
+
+    /// Solves every wavelength of the channel and returns the operating
+    /// point of the **worst ring** — the wavelength demanding the highest
+    /// laser output power — together with its index.
+    ///
+    /// On a perfectly aligned channel this is dominated by the
+    /// worst-crosstalk wavelength; on a channel with per-ring detuning
+    /// ([`MwsrChannel::with_ring_detunings`]) the worst ring is whichever
+    /// combination of detuning-collapsed swing and crosstalk bites hardest.
+    /// Every lane must close its budget, so the worst ring sizes the shared
+    /// laser comb.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LaserPowerSolver::solve`]; any single infeasible wavelength
+    /// makes the whole channel infeasible.
+    pub fn solve_worst_case(
+        &self,
+        scheme: EccScheme,
+        target_ber: f64,
+    ) -> Result<(LaserOperatingPoint, usize), SolveError> {
+        let requirement = BerRequirement::new(scheme, target_ber)?;
+        self.solve_worst_case_counted(&requirement).0
+    }
+
+    /// [`LaserPowerSolver::solve_worst_case`] for a precomputed
+    /// `requirement`, with its ring evaluations (2N² + 2N; fewer when a lane
+    /// fails early).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LaserPowerSolver::solve_worst_case`].
+    pub(crate) fn solve_worst_case_counted(
+        &self,
+        requirement: &BerRequirement,
+    ) -> (Result<(LaserOperatingPoint, usize), SolveError>, u64) {
+        let paths = self.channel.path_transmissions();
+        let crosstalks = self.channel.crosstalks_from_paths(&paths);
+        let mut ring_evals = self.full_budget_ring_evals();
+        let mut worst: Option<(LaserOperatingPoint, usize)> = None;
+        for (lane, (path, &crosstalk)) in paths.iter().zip(&crosstalks).enumerate() {
+            ring_evals += MwsrChannel::EXTINCTION_RING_EVALS;
+            let point = match self.point_on_lane(requirement, crosstalk, path.value(), lane) {
+                Ok(point) => point,
+                Err(error) => return (Err(error), ring_evals),
+            };
+            let harder = worst.as_ref().is_none_or(|(best, _)| {
+                point.laser_output_power.value() > best.laser_output_power.value()
+            });
+            if harder {
+                worst = Some((point, lane));
+            }
         }
-        let raw_ber = raw_ber_for_target(scheme, target_ber);
-        let snr = onoc_ber::snr::snr_from_ber_uncoded(raw_ber);
-        let crosstalk = self.channel.worst_case_crosstalk(wavelength);
+        (
+            Ok(worst.expect("the grid has at least one wavelength")),
+            ring_evals,
+        )
+    }
+
+    /// Ring evaluations of the path and crosstalk vectors of the channel:
+    /// N(N + 1) + N(N − 1) = 2N².
+    fn full_budget_ring_evals(&self) -> u64 {
+        let lanes = self.channel.geometry().wavelength_count() as u64;
+        lanes * (self.channel.path_ring_evals() + self.channel.crosstalk_ring_evals())
+    }
+
+    /// The operating point of `requirement` on lane `wavelength`, whose
+    /// crosstalk and path transmission the caller read from the budget
+    /// vectors.
+    fn point_on_lane(
+        &self,
+        requirement: &BerRequirement,
+        crosstalk: Microwatts,
+        path_transmission: f64,
+        wavelength: usize,
+    ) -> Result<LaserOperatingPoint, SolveError> {
+        let BerRequirement {
+            scheme,
+            target_ber,
+            raw_ber,
+            snr,
+        } = *requirement;
         let required_swing = self.receiver.required_signal_power(snr, crosstalk);
         let laser = self.channel.laser();
         // Thermal drift can invert the modulation contrast entirely; no
         // finite laser power helps then, so report it as a power ceiling
         // violation with an unbounded requirement.
-        if self.channel.swing_factor(wavelength) <= 0.0 {
+        let swing_factor = path_transmission * self.channel.extinction_factor(wavelength);
+        if swing_factor <= 0.0 || swing_factor.is_nan() {
             return Err(SolveError::LaserPowerExceeded {
                 scheme,
                 target_ber,
@@ -196,9 +365,8 @@ impl LaserPowerSolver {
                 maximum_microwatts: laser.max_output().value(),
             });
         }
-        let laser_output = self
-            .channel
-            .required_laser_output(required_swing, wavelength);
+        // Same arithmetic as `MwsrChannel::required_laser_output`.
+        let laser_output = Microwatts::new(required_swing.value() / swing_factor);
 
         if !laser.can_emit(laser_output) {
             return Err(SolveError::LaserPowerExceeded {
@@ -238,40 +406,6 @@ impl LaserPowerSolver {
         })
     }
 
-    /// Solves every wavelength of the channel and returns the operating
-    /// point of the **worst ring** — the wavelength demanding the highest
-    /// laser output power — together with its index.
-    ///
-    /// On a perfectly aligned channel this is dominated by the
-    /// worst-crosstalk wavelength; on a channel with per-ring detuning
-    /// ([`MwsrChannel::with_ring_detunings`]) the worst ring is whichever
-    /// combination of detuning-collapsed swing and crosstalk bites hardest.
-    /// Every lane must close its budget, so the worst ring sizes the shared
-    /// laser comb.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LaserPowerSolver::solve`]; any single infeasible wavelength
-    /// makes the whole channel infeasible.
-    pub fn solve_worst_case(
-        &self,
-        scheme: EccScheme,
-        target_ber: f64,
-    ) -> Result<(LaserOperatingPoint, usize), SolveError> {
-        let count = self.channel.geometry().wavelength_count();
-        let mut worst: Option<(LaserOperatingPoint, usize)> = None;
-        for wavelength in 0..count {
-            let point = self.solve_on_wavelength(scheme, target_ber, wavelength)?;
-            let harder = worst.as_ref().is_none_or(|(best, _)| {
-                point.laser_output_power.value() > best.laser_output_power.value()
-            });
-            if harder {
-                worst = Some((point, wavelength));
-            }
-        }
-        Ok(worst.expect("the grid has at least one wavelength"))
-    }
-
     /// Achievable decoded BER when the laser runs at `laser_output` with the
     /// given `scheme` (the forward direction, used by the NoC simulator to
     /// derive error-injection probabilities).
@@ -292,6 +426,17 @@ impl LaserPowerSolver {
         let raw = if snr <= 0.0 { 0.5 } else { ber_from_snr(snr) };
         onoc_ecc_codes::ber::coded_ber(scheme, raw.min(0.5))
     }
+}
+
+/// The lane with the largest crosstalk, the last one on ties (the choice of
+/// `Iterator::max_by`).  `total_cmp` orders finite powers exactly as
+/// `partial_cmp` does and cannot panic.
+fn worst_crosstalk_lane(crosstalks: &[Microwatts]) -> usize {
+    crosstalks
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.value().total_cmp(&b.value()))
+        .map_or(0, |(lane, _)| lane)
 }
 
 #[cfg(test)]

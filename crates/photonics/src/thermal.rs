@@ -32,7 +32,7 @@ use onoc_units::{Celsius, Microwatts, Milliwatts};
 use serde::{Deserialize, Serialize};
 
 use crate::mwsr::MwsrChannel;
-use crate::power::{LaserOperatingPoint, LaserPowerSolver, SolveError};
+use crate::power::{BerRequirement, LaserOperatingPoint, LaserPowerSolver, SolveError};
 
 /// The thermal configuration of a link: ring drift, heaters, per-ring
 /// fabrication variation, the design-time wavelength assignment and the
@@ -309,18 +309,60 @@ impl ThermalSolver {
     /// calibration temperature this reproduces the paper's numbers
     /// bit-for-bit.
     ///
+    /// The BER requirement is inverted once per call and shared by every
+    /// candidate; each candidate builds its channel's link budget once (see
+    /// [`LaserPowerSolver`] for the per-candidate cost).
+    ///
     /// # Errors
     ///
-    /// Returns the laser-side [`SolveError`] of the best-tuned candidate when
-    /// no action yields a feasible operating point (e.g. the uncoded link at
-    /// 85 °C, where even the tuned residual drift pushes the required laser
-    /// output past its ceiling).
+    /// * [`SolveError::InvalidTarget`] if `target_ber` is outside `(0, 0.5)`;
+    /// * [`SolveError::NonFiniteTemperature`] if `temperature` (or the ring
+    ///   drift it implies) is not finite;
+    /// * otherwise the laser-side [`SolveError`] of the last candidate when
+    ///   no action yields a feasible operating point (e.g. the uncoded link
+    ///   at 85 °C, where even the tuned residual drift pushes the required
+    ///   laser output past its ceiling).
     pub fn solve_at(
         &self,
         scheme: EccScheme,
         target_ber: f64,
         temperature: Celsius,
     ) -> Result<(LaserOperatingPoint, ThermalSummary), SolveError> {
+        self.solve_at_counted(scheme, target_ber, temperature).0
+    }
+
+    /// [`ThermalSolver::solve_at`] together with the ring evaluations the
+    /// solve took: 2N² + 2 per uniform-bank candidate and 2N² + 2N per
+    /// heterogeneous one (N wavelengths), 0 when the inputs are rejected
+    /// before any channel is built.  The count is a pure function of the
+    /// inputs, so it can be gated exactly.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ThermalSolver::solve_at`].
+    pub fn solve_at_counted(
+        &self,
+        scheme: EccScheme,
+        target_ber: f64,
+        temperature: Celsius,
+    ) -> (
+        Result<(LaserOperatingPoint, ThermalSummary), SolveError>,
+        u64,
+    ) {
+        let requirement = match BerRequirement::new(scheme, target_ber) {
+            Ok(requirement) => requirement,
+            Err(error) => return (Err(error), 0),
+        };
+        // A non-finite temperature (or one whose drift overflows) would trip
+        // the finiteness assertions of the unit, drift and ring models below;
+        // this is the free drift `drift_for(delta_at(temperature))` computes.
+        let excursion_k = temperature.value() - self.stack.rings.calibration.value();
+        if !(self.stack.rings.drift_nm_per_kelvin * excursion_k).is_finite() {
+            let error = SolveError::NonFiniteTemperature {
+                temperature_c: temperature.value(),
+            };
+            return (Err(error), 0);
+        }
         let delta = self.stack.rings.delta_at(temperature);
         let free_drift = self.stack.rings.drift_for(delta);
         let rings_per_lane = self.base.channel().rings_per_lane();
@@ -354,9 +396,10 @@ impl ThermalSolver {
 
         let mut best: Option<(LaserOperatingPoint, ThermalSummary, f64)> = None;
         let mut last_error: Option<SolveError> = None;
+        let mut ring_evals = 0;
         for compensation in compensations {
             let tuning_power_per_ring = compensation.mean_heater_power_per_ring();
-            let solved = match compensation.uniform_residual_nm() {
+            let (solved, evals) = match compensation.uniform_residual_nm() {
                 // A uniform bank is the per-bank scalar model: one shared
                 // residual, solved on the worst-crosstalk wavelength.
                 Some(residual_nm) => {
@@ -377,10 +420,7 @@ impl ThermalSolver {
                         );
                         &detuned
                     };
-                    let worst_lane = solver.worst_case_wavelength();
-                    solver
-                        .solve_on_wavelength(scheme, target_ber, worst_lane)
-                        .map(|point| (point, worst_lane))
+                    solver.solve_worst_crosstalk_lane(&requirement)
                 }
                 // A heterogeneous bank: per-index detuning, sized by the
                 // worst ring across all wavelengths.
@@ -390,8 +430,9 @@ impl ThermalSolver {
                         .with_ring_detunings(&compensation.residual_nm)
                         .with_laser_ambient(temperature),
                 )
-                .solve_worst_case(scheme, target_ber),
+                .solve_worst_case_counted(&requirement),
             };
+            ring_evals += evals;
             match solved {
                 Ok((point, worst_lane)) => {
                     let per_lane = Milliwatts::new(
@@ -418,10 +459,11 @@ impl ThermalSolver {
                 Err(error) => last_error = Some(error),
             }
         }
-        match best {
+        let solved = match best {
             Some((point, summary, _)) => Ok((point, summary)),
             None => Err(last_error.expect("policy always has at least one candidate")),
-        }
+        };
+        (solved, ring_evals)
     }
 }
 
@@ -749,6 +791,33 @@ mod tests {
         let mut stack = ThermalLinkStack::paper_default();
         stack.tuner.max_power_per_ring = Microwatts::new(1.0) * f64::NAN;
         let _ = ThermalSolver::new(PaperCalibration::dac17().into_channel(), stack);
+    }
+
+    #[test]
+    fn non_finite_temperatures_are_typed_errors_not_panics() {
+        let thermal = solver();
+        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let temperature = Celsius::new(1.0) * scale;
+            let (solved, ring_evals) =
+                thermal.solve_at_counted(EccScheme::Hamming7164, 1e-11, temperature);
+            assert!(
+                matches!(solved, Err(SolveError::NonFiniteTemperature { .. })),
+                "{scale}: {solved:?}"
+            );
+            assert_eq!(ring_evals, 0);
+        }
+        // A finite temperature whose drift overflows f64 is rejected too.
+        let steep = ThermalSolver::new(
+            PaperCalibration::dac17().into_channel(),
+            ThermalLinkStack {
+                rings: RingThermalModel::new(1e300, Celsius::new(25.0)),
+                ..ThermalLinkStack::paper_default()
+            },
+        );
+        assert!(matches!(
+            steep.solve_at(EccScheme::Hamming7164, 1e-11, Celsius::new(1e10)),
+            Err(SolveError::NonFiniteTemperature { .. })
+        ));
     }
 
     #[test]

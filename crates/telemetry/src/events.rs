@@ -32,6 +32,9 @@ pub enum TelemetryEvent {
         temperature_c: f64,
         /// Whether a feasible operating point exists there.
         feasible: bool,
+        /// Ring transfer-function evaluations the solve took — a
+        /// deterministic work count, a pure function of the solve's inputs.
+        ring_evals: u64,
     },
     /// A memoized operating-point query was answered from the cache.
     CacheHit {
@@ -216,6 +219,7 @@ impl TelemetryEvent {
                 target_ber: 1e-11,
                 temperature_c: 55.0,
                 feasible: true,
+                ring_evals: 1028,
             },
             Self::CacheHit {
                 fingerprint: 0xDEAD_BEEF,
@@ -311,11 +315,13 @@ impl TelemetryEvent {
                 target_ber,
                 temperature_c,
                 feasible,
+                ring_evals,
             } => {
                 fields.push(("scheme", scheme.as_str().into()));
                 fields.push(("target_ber", (*target_ber).into()));
                 fields.push(("temperature_c", (*temperature_c).into()));
                 fields.push(("feasible", (*feasible).into()));
+                fields.push(("ring_evals", (*ring_evals).into()));
             }
             Self::CacheHit {
                 fingerprint,
@@ -494,6 +500,7 @@ impl TelemetryEvent {
                 target_ber: f64_field("target_ber")?,
                 temperature_c: f64_field("temperature_c")?,
                 feasible: bool_field("feasible")?,
+                ring_evals: u64_field("ring_evals")?,
             }),
             "cache_hit" => Ok(Self::CacheHit {
                 fingerprint: fingerprint()?,

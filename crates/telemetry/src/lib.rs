@@ -575,11 +575,16 @@ impl Recorder for RegistryRecorder {
                 self.wall_clock
                     .record(&format!("shard.{label}"), *wall_micros);
             }
-            TelemetryEvent::SolverInvoked { feasible, .. } => {
+            TelemetryEvent::SolverInvoked {
+                feasible,
+                ring_evals,
+                ..
+            } => {
                 self.metrics.increment("solver.invocations");
                 if !*feasible {
                     self.metrics.increment("solver.infeasible");
                 }
+                self.metrics.add("photonics.ring_evals", *ring_evals);
             }
             TelemetryEvent::CacheHit { .. } => self.metrics.increment("cache.hits"),
             TelemetryEvent::CacheMiss { .. } => self.metrics.increment("cache.misses"),
@@ -728,6 +733,7 @@ mod tests {
         }
         assert_eq!(forward_order, metrics_rev.snapshot());
         assert_eq!(forward_order.counters["solver.invocations"], 1);
+        assert_eq!(forward_order.counters["photonics.ring_evals"], 1028);
         assert_eq!(forward_order.counters["cache.hits"], 1);
         assert_eq!(forward_order.counters["cache.misses"], 1);
         assert_eq!(forward_order.counters["manager.decisions"], 2);
