@@ -9,7 +9,7 @@
 #![allow(deprecated)]
 
 use onoc_ecc::ecc::EccScheme;
-use onoc_ecc::link::TrafficClass;
+use onoc_ecc::link::{CacheCounters, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
 use onoc_ecc::sim::{
     DecisionPolicy, FeedbackConfig, FeedbackSimulation, RingVariationConfig, RunReport,
@@ -18,6 +18,97 @@ use onoc_ecc::sim::{
 use onoc_ecc::thermal::{BankTuningMode, RcNetworkParameters, ThermalEnvironment};
 use onoc_ecc::units::Celsius;
 use proptest::prelude::*;
+
+mod common;
+use common::digest;
+
+/// What a golden pins about one builder run: the report digest plus the two
+/// fields the digest leaves out.
+struct Golden {
+    digest: u64,
+    baseline_scheme: EccScheme,
+    solver_cache: CacheCounters,
+}
+
+fn assert_golden(report: &RunReport, golden: &Golden) {
+    println!(
+        "digest 0x{:016X}, baseline {:?}, solver cache {:?}",
+        digest(report),
+        report.baseline_scheme,
+        report.solver_cache
+    );
+    assert_eq!(digest(report), golden.digest, "report digest");
+    assert_eq!(report.baseline_scheme, golden.baseline_scheme);
+    assert_eq!(report.solver_cache, golden.solver_cache);
+}
+
+/// The per-message scenario of the first four goldens: 8 ONIs of
+/// latency-first traffic with deadlines, optionally over a prescribed
+/// thermal environment at 0.5 K decision buckets.
+fn per_message_run(environment: Option<ThermalEnvironment>) -> RunReport {
+    let mut builder = ScenarioBuilder::new()
+        .oni_count(8)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 20,
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(8)
+        .mean_inter_arrival_ns(4.0)
+        .deadline_slack_ns(Some(80.0))
+        .nominal_ber(1e-11)
+        .seed(31);
+    if let Some(environment) = environment {
+        builder = builder
+            .prescribed(environment)
+            .policy(DecisionPolicy::per_message());
+    }
+    builder.build().unwrap().run()
+}
+
+/// The epoch-gated scenario of the last two goldens: 6 self-heating ONIs of
+/// latency-first traffic over the paper package, optionally with per-ONI
+/// fabrication variation.
+fn feedback_builder(variation: Option<RingVariationConfig>) -> ScenarioBuilder {
+    let builder = ScenarioBuilder::new()
+        .oni_count(6)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 80,
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(16)
+        .mean_inter_arrival_ns(8.0)
+        .nominal_ber(1e-11)
+        .seed(5)
+        .activity_coupled(RcNetworkParameters::paper_package())
+        .policy(DecisionPolicy::epoch_gated());
+    match variation {
+        Some(variation) => builder.variation(variation),
+        None => builder,
+    }
+}
+
+fn hotspot() -> ThermalEnvironment {
+    ThermalEnvironment::Hotspot {
+        base: Celsius::new(30.0),
+        peak: Celsius::new(85.0),
+        center: 2,
+        decay_per_hop: 0.4,
+    }
+}
+
+fn transient() -> ThermalEnvironment {
+    ThermalEnvironment::Transient {
+        start: Celsius::new(25.0),
+        target: Celsius::new(85.0),
+        time_constant_ns: 150.0,
+    }
+}
+
+const VARIATION: RingVariationConfig = RingVariationConfig {
+    sigma_nm: 0.040,
+    seed: 11,
+    mode: BankTuningMode::PureHeater,
+};
 
 /// The builder composition equivalent to a legacy `SimulationConfig`.
 fn builder_from_sim(config: &SimulationConfig) -> ScenarioBuilder {
@@ -76,7 +167,7 @@ fn sim_config(thermal: Option<ThermalScenario>) -> SimulationConfig {
 }
 
 /// Pins the legacy `Simulation` report bit-identical to the builder run.
-fn assert_simulation_equivalent(config: SimulationConfig) {
+fn assert_simulation_equivalent(config: SimulationConfig) -> RunReport {
     let legacy = Simulation::new(config.clone()).unwrap().run();
     let unified: RunReport = builder_from_sim(&config).build().unwrap().run();
     assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
@@ -110,21 +201,33 @@ fn assert_simulation_equivalent(config: SimulationConfig) {
             );
         }
     }
+    unified
 }
 
 #[test]
 fn plain_simulation_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(None));
+    assert_golden(
+        &assert_simulation_equivalent(sim_config(None)),
+        &GOLDEN_PLAIN,
+    );
+    assert_golden(&per_message_run(None), &GOLDEN_PLAIN);
 }
 
 #[test]
 fn ambient_thermal_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::paper_ambient())));
+    assert_golden(
+        &assert_simulation_equivalent(sim_config(Some(ThermalScenario::paper_ambient()))),
+        &GOLDEN_AMBIENT,
+    );
+    assert_golden(
+        &per_message_run(Some(ThermalEnvironment::paper_ambient())),
+        &GOLDEN_AMBIENT,
+    );
 }
 
 #[test]
 fn hotspot_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
+    let unified = assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
         ThermalEnvironment::Hotspot {
             base: Celsius::new(30.0),
             peak: Celsius::new(85.0),
@@ -132,17 +235,21 @@ fn hotspot_scenario_is_bit_identical_through_the_builder() {
             decay_per_hop: 0.4,
         },
     ))));
+    assert_golden(&unified, &GOLDEN_HOTSPOT);
+    assert_golden(&per_message_run(Some(hotspot())), &GOLDEN_HOTSPOT);
 }
 
 #[test]
 fn transient_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
+    let unified = assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
         ThermalEnvironment::Transient {
             start: Celsius::new(25.0),
             target: Celsius::new(85.0),
             time_constant_ns: 150.0,
         },
     ))));
+    assert_golden(&unified, &GOLDEN_TRANSIENT);
+    assert_golden(&per_message_run(Some(transient())), &GOLDEN_TRANSIENT);
 }
 
 fn feedback_config(variation: Option<RingVariationConfig>) -> FeedbackConfig {
@@ -167,7 +274,7 @@ fn feedback_config(variation: Option<RingVariationConfig>) -> FeedbackConfig {
 
 /// Pins the legacy `FeedbackSimulation` report bit-identical to the builder
 /// run.
-fn assert_feedback_equivalent(config: FeedbackConfig) {
+fn assert_feedback_equivalent(config: FeedbackConfig) -> RunReport {
     let legacy = FeedbackSimulation::new(config.clone()).unwrap().run();
     let unified: RunReport = builder_from_feedback(&config).build().unwrap().run();
     assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
@@ -196,20 +303,33 @@ fn assert_feedback_equivalent(config: FeedbackConfig) {
         );
         assert_eq!(legacy_oni.scheme_switches, unified_oni.scheme_switches);
     }
+    unified
 }
 
 #[test]
 fn homogeneous_feedback_is_bit_identical_through_the_builder() {
-    assert_feedback_equivalent(feedback_config(None));
+    assert_golden(
+        &assert_feedback_equivalent(feedback_config(None)),
+        &GOLDEN_FEEDBACK,
+    );
+    assert_golden(
+        &feedback_builder(None).build().unwrap().run(),
+        &GOLDEN_FEEDBACK,
+    );
 }
 
 #[test]
 fn heterogeneous_feedback_is_bit_identical_through_the_builder() {
-    assert_feedback_equivalent(feedback_config(Some(RingVariationConfig {
+    let unified = assert_feedback_equivalent(feedback_config(Some(RingVariationConfig {
         sigma_nm: 0.040,
         seed: 11,
         mode: BankTuningMode::PureHeater,
     })));
+    assert_golden(&unified, &GOLDEN_FEEDBACK_VARIED);
+    assert_golden(
+        &feedback_builder(Some(VARIATION)).build().unwrap().run(),
+        &GOLDEN_FEEDBACK_VARIED,
+    );
 }
 
 #[test]
@@ -458,3 +578,58 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+const GOLDEN_PLAIN: Golden = Golden {
+    digest: 0xC3A6_B8C9_6072_5934,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 3,
+        misses: 3,
+        entries: 3,
+    },
+};
+const GOLDEN_AMBIENT: Golden = Golden {
+    digest: 0xC3A6_B8C9_6072_5934,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 3,
+        misses: 3,
+        entries: 3,
+    },
+};
+const GOLDEN_HOTSPOT: Golden = Golden {
+    digest: 0x02C3_4424_3230_62B3,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 0,
+        misses: 18,
+        entries: 18,
+    },
+};
+const GOLDEN_TRANSIENT: Golden = Golden {
+    digest: 0x9B27_7AF7_3361_1C77,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 3,
+        misses: 153,
+        entries: 153,
+    },
+};
+const GOLDEN_FEEDBACK: Golden = Golden {
+    digest: 0x0234_9C43_D260_B607,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 147,
+        misses: 99,
+        entries: 99,
+    },
+};
+const GOLDEN_FEEDBACK_VARIED: Golden = Golden {
+    digest: 0x9462_22AC_267F_1399,
+    baseline_scheme: EccScheme::Uncoded,
+    solver_cache: CacheCounters {
+        hits: 0,
+        misses: 267,
+        entries: 267,
+    },
+};
