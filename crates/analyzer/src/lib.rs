@@ -4,7 +4,7 @@
 //! The repo's value proposition is that every figure and `RunReport` is
 //! bit-identical across thread counts and reruns.  The invariants that make
 //! that true used to live only in reviewers' heads; this crate turns them
-//! into six machine-checked rules:
+//! into five machine-checked rules:
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -12,7 +12,6 @@
 //! | D002 | wall clocks (`Instant::now`, `SystemTime`) only at quarantined sites |
 //! | D003 | `fingerprint()` bodies mention every field of their struct |
 //! | D004 | `unwrap()`/`expect()` count in library code ratchets downward |
-//! | D005 | deprecated shims referenced only under `allow(deprecated)` |
 //! | D006 | no `std::env` reads or ambient randomness in deterministic code |
 //!
 //! There is deliberately no `syn` (the build environment has no crates.io
@@ -24,7 +23,6 @@ pub mod report;
 pub mod rules;
 pub mod source;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,7 +36,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("D002", "wall clocks confined to quarantined sites"),
     ("D003", "fingerprint() must cover every struct field"),
     ("D004", "unwrap()/expect() ratchet in library code"),
-    ("D005", "deprecated shims need scoped allow(deprecated)"),
     (
         "D006",
         "no std::env or ambient randomness in deterministic code",
@@ -166,7 +163,7 @@ struct ScannedFile {
     is_src: bool,
 }
 
-/// Runs all six rules over the workspace rooted at `root`.
+/// Runs all five rules over the workspace rooted at `root`.
 ///
 /// # Errors
 ///
@@ -193,22 +190,11 @@ pub fn run(root: &Path, ratchet: RatchetMode) -> io::Result<LintOutcome> {
         });
     }
 
-    // Workspace-wide pass: where every deprecated item lives.
-    let mut deprecated: BTreeMap<String, String> = BTreeMap::new();
-    let mut own_defs: Vec<Vec<(String, usize)>> = Vec::with_capacity(scanned.len());
-    for file in &scanned {
-        let defs = rules::deprecated_definitions(&file.tokens);
-        for (name, _) in &defs {
-            deprecated.insert(name.clone(), file.rel.clone());
-        }
-        own_defs.push(defs);
-    }
-
     let mut outcome = LintOutcome {
         files_scanned: scanned.len(),
         ..LintOutcome::default()
     };
-    for (file, defs) in scanned.iter().zip(&own_defs) {
+    for file in &scanned {
         let ctx = FileContext {
             path: &file.rel,
             tokens: &file.tokens,
@@ -219,7 +205,6 @@ pub fn run(root: &Path, ratchet: RatchetMode) -> io::Result<LintOutcome> {
         findings.extend(rules::d001(&ctx));
         findings.extend(rules::d002(&ctx));
         findings.extend(rules::d003(&ctx));
-        findings.extend(rules::d005(&ctx, &deprecated, defs));
         findings.extend(rules::d006(&ctx));
         for f in findings {
             match pragma_for(&file.pragmas, f.rule, f.line) {

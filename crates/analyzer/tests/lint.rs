@@ -104,30 +104,6 @@ fn d004_counts_library_sites_but_not_test_modules() {
 }
 
 #[test]
-fn d005_flags_unscoped_deprecated_references() {
-    let f = fixture("d005_bad.rs");
-    let defs = rules::deprecated_definitions(&f.tokens);
-    assert_eq!(defs.len(), 1, "{defs:?}");
-    assert_eq!(defs[0].0, "legacy_api");
-    let map =
-        std::collections::BTreeMap::from([("legacy_api".to_owned(), "src/d005_bad.rs".to_owned())]);
-    let findings = rules::d005(&f.ctx(), &map, &defs);
-    assert_eq!(findings.len(), 1, "definition line is exempt: {findings:?}");
-    assert!(findings[0].message.contains("legacy_api"));
-}
-
-#[test]
-fn d005_accepts_scoped_allow() {
-    let f = fixture("d005_good.rs");
-    let defs = rules::deprecated_definitions(&f.tokens);
-    let map = std::collections::BTreeMap::from([(
-        "legacy_api".to_owned(),
-        "src/d005_good.rs".to_owned(),
-    )]);
-    assert_eq!(rules::d005(&f.ctx(), &map, &defs), vec![]);
-}
-
-#[test]
 fn d006_flags_env_reads_and_ambient_randomness() {
     let f = fixture("d006_bad.rs");
     let findings = rules::d006(&f.ctx());

@@ -1,4 +1,4 @@
-//! The legacy simulation entry point and the engine-shared primitives.
+//! Primitives shared by the scenario run loops.
 //!
 //! The engine models one MWSR interconnect: every destination ONI owns a
 //! channel guarded by a token arbiter; messages request the destination
@@ -7,15 +7,9 @@
 //! delivered with stochastic residual errors derived from the operating
 //! point's decoded BER.
 //!
-//! The run loops now live in [`crate::scenario`]; [`Simulation`] survives as
-//! a thin deprecated shim over [`crate::ScenarioBuilder`], pinned
-//! bit-identical by `tests/scenario_migration.rs`.  This module keeps the
-//! shared primitives both engines use ([`SimulationError`], the event and
-//! decision-parameter types) and the legacy configuration/report types.
-
-// This is a legacy-shim module: it intentionally uses the deprecated entry
-// points it provides.
-#![allow(deprecated)]
+//! The run loops live in [`crate::scenario`]; this module keeps what they
+//! share: [`SimulationError`], the event and decision-parameter types, and
+//! the residual-error sampler.
 
 use onoc_ecc_codes::EccScheme;
 use onoc_link::{ManagerDecision, TrafficClass};
@@ -24,99 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::packet::MessageId;
-use crate::scenario::{DecisionPolicy, ScenarioBuilder};
-use crate::stats::SimStats;
-use crate::thermal::{OniThermalReport, ThermalRunReport, ThermalScenario};
 use crate::time::SimTime;
-use crate::traffic::TrafficPattern;
-
-use crate::scenario::Scenario;
-
-/// Configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimulationConfig {
-    /// Number of ONIs in the interconnect.
-    pub oni_count: usize,
-    /// Spatial/temporal traffic pattern.
-    pub pattern: TrafficPattern,
-    /// Traffic class of every message (drives the manager's scheme choice).
-    pub class: TrafficClass,
-    /// Number of 64-bit words per message.
-    pub words_per_message: u64,
-    /// Mean inter-arrival time at each source, in nanoseconds.
-    pub mean_inter_arrival_ns: f64,
-    /// Deadline slack granted to each message, in nanoseconds (`None` = no
-    /// deadlines).
-    pub deadline_slack_ns: Option<f64>,
-    /// Nominal BER target the platform guarantees.
-    pub nominal_ber: f64,
-    /// RNG seed (traffic and error injection are fully reproducible).
-    pub seed: u64,
-    /// Thermal scenario the run plays back; `None` = the paper's fixed
-    /// 25 °C ambient.  With a scenario, every message is configured at the
-    /// temperature of its destination channel at injection time.
-    pub thermal: Option<ThermalScenario>,
-}
-
-impl SimulationConfig {
-    /// Checks the configuration's structural validity (shared by
-    /// [`Simulation::new`] and the feedback engine).
-    ///
-    /// # Errors
-    ///
-    /// [`SimulationError::InvalidConfiguration`] for fewer than 2 ONIs,
-    /// zero-sized messages, a BER outside (0, 0.5), a non-positive or
-    /// non-finite mean inter-arrival time, or an invalid thermal scenario.
-    pub fn validate(&self) -> Result<(), SimulationError> {
-        if self.oni_count < 2 {
-            return Err(SimulationError::InvalidConfiguration {
-                reason: "at least two ONIs are required".into(),
-            });
-        }
-        if self.words_per_message == 0 {
-            return Err(SimulationError::InvalidConfiguration {
-                reason: "messages must carry at least one word".into(),
-            });
-        }
-        if !(self.nominal_ber > 0.0 && self.nominal_ber < 0.5) {
-            return Err(SimulationError::InvalidConfiguration {
-                reason: "nominal BER must be in (0, 0.5)".into(),
-            });
-        }
-        if !(self.mean_inter_arrival_ns > 0.0 && self.mean_inter_arrival_ns.is_finite()) {
-            return Err(SimulationError::InvalidConfiguration {
-                reason: format!(
-                    "mean inter-arrival time must be positive and finite, got {}",
-                    self.mean_inter_arrival_ns
-                ),
-            });
-        }
-        if let Some(scenario) = &self.thermal {
-            scenario
-                .validate()
-                .map_err(|reason| SimulationError::InvalidConfiguration { reason })?;
-        }
-        Ok(())
-    }
-}
-
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        Self {
-            oni_count: 12,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 10,
-            },
-            class: TrafficClass::Bulk,
-            words_per_message: 16,
-            mean_inter_arrival_ns: 5.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 1,
-            thermal: None,
-        }
-    }
-}
 
 /// Errors raised when setting up a simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -145,25 +47,6 @@ impl std::fmt::Display for SimulationError {
 }
 
 impl std::error::Error for SimulationError {}
-
-/// Outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimulationReport {
-    /// The configuration that was simulated.
-    pub config: SimulationConfig,
-    /// The scheme the manager selected for this run's traffic class at the
-    /// calibration ambient (the baseline; thermal scenarios may override it
-    /// per destination).
-    pub scheme: EccScheme,
-    /// Per-waveguide channel power of the baseline operating point, in mW.
-    pub channel_power_mw: f64,
-    /// Decoded BER of the baseline operating point.
-    pub decoded_ber: f64,
-    /// Aggregate statistics.
-    pub stats: SimStats,
-    /// Per-ONI thermal decisions (present when a thermal scenario ran).
-    pub thermal: Option<ThermalRunReport>,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EventKind {
@@ -313,296 +196,10 @@ pub(crate) fn conditional_corrupted_bits(rng: &mut StdRng, bits: u32, ber: f64) 
     u64::from(k)
 }
 
-/// An event-driven simulation of the optical NoC (legacy entry point).
-///
-/// This is now a thin shim over [`ScenarioBuilder`]: the configuration is
-/// translated into a [`Scenario`] with a prescribed thermal model and the
-/// per-message decision policy, and the unified run report is mapped back
-/// onto [`SimulationReport`].  Golden tests pin the two paths bit-identical.
-#[deprecated(
-    since = "0.1.0",
-    note = "use onoc_sim::ScenarioBuilder (prescribed thermal model + per-message policy); \
-            see the README migration table"
-)]
-#[derive(Debug)]
-pub struct Simulation {
-    scenario: Scenario,
-    config: SimulationConfig,
-}
-
-impl Simulation {
-    /// Prepares a simulation: generates the traffic and asks the link
-    /// manager for the operating point of the configured traffic class.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimulationError::InvalidConfiguration`] for structurally invalid
-    ///   configurations (fewer than 2 ONIs, zero-sized messages, bad BER);
-    /// * [`SimulationError::NoFeasibleConfiguration`] when the manager cannot
-    ///   serve the requested class at the nominal BER.
-    pub fn new(config: SimulationConfig) -> Result<Self, SimulationError> {
-        config.validate()?;
-        let mut builder = ScenarioBuilder::new()
-            .oni_count(config.oni_count)
-            .pattern(config.pattern)
-            .class(config.class)
-            .words_per_message(config.words_per_message)
-            .mean_inter_arrival_ns(config.mean_inter_arrival_ns)
-            .deadline_slack_ns(config.deadline_slack_ns)
-            .nominal_ber(config.nominal_ber)
-            .seed(config.seed);
-        if let Some(scenario) = &config.thermal {
-            builder = builder
-                .prescribed(scenario.environment)
-                .policy(DecisionPolicy::PerMessage {
-                    quantization_k: scenario.quantization_k,
-                });
-        }
-        Ok(Self {
-            scenario: builder.build()?,
-            config,
-        })
-    }
-
-    /// The baseline operating point (calibration ambient) selected by the
-    /// manager for this run's traffic class.
-    #[must_use]
-    pub fn decision(&self) -> &ManagerDecision {
-        self.scenario.baseline_decision()
-    }
-
-    /// All distinct operating points in use (baseline first).
-    #[must_use]
-    pub fn decisions(&self) -> &[ManagerDecision] {
-        self.scenario.decisions()
-    }
-
-    /// Number of messages that will be injected.
-    #[must_use]
-    pub fn message_count(&self) -> usize {
-        self.scenario.message_count()
-    }
-
-    /// Runs the simulation to completion and returns the report.
-    #[must_use]
-    pub fn run(self) -> SimulationReport {
-        let run = self.scenario.run();
-        let thermal = self.config.thermal.as_ref().map(|_| ThermalRunReport {
-            per_oni: run
-                .active_onis()
-                .map(|o| OniThermalReport {
-                    oni: o.oni,
-                    temperature_c: o.final_temperature_c,
-                    scheme: o.scheme,
-                    channel_power_mw: o.channel_power_mw,
-                    tuning_power_mw_per_lane: o.tuning_power_mw_per_lane,
-                })
-                .collect(),
-            reconfigured_messages: run.reconfigured_messages,
-        });
-        SimulationReport {
-            scheme: run.baseline_scheme,
-            channel_power_mw: run.baseline_channel_power_mw,
-            decoded_ber: run.baseline_decoded_ber,
-            stats: run.stats,
-            thermal,
-            config: self.config,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    fn quick_config() -> SimulationConfig {
-        SimulationConfig {
-            oni_count: 6,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 15,
-            },
-            class: TrafficClass::Bulk,
-            words_per_message: 8,
-            mean_inter_arrival_ns: 2.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 3,
-            ..SimulationConfig::default()
-        }
-    }
-
-    #[test]
-    fn all_injected_messages_are_delivered() {
-        let sim = Simulation::new(quick_config()).unwrap();
-        let injected = sim.message_count() as u64;
-        let report = sim.run();
-        assert_eq!(report.stats.injected_messages, injected);
-        assert_eq!(report.stats.delivered_messages, injected);
-        assert_eq!(report.stats.delivered_bits, injected * 8 * 64);
-        assert!(report.stats.makespan_ns > 0.0);
-        assert!(report.stats.mean_latency_ns() > 0.0);
-    }
-
-    #[test]
-    fn bulk_traffic_runs_on_h7164() {
-        let report = Simulation::new(quick_config()).unwrap().run();
-        assert_eq!(report.scheme, EccScheme::Hamming7164);
-        assert!(report.channel_power_mw > 50.0 && report.channel_power_mw < 300.0);
-    }
-
-    #[test]
-    fn real_time_traffic_is_faster_but_hungrier() {
-        let bulk = Simulation::new(quick_config()).unwrap().run();
-        let rt = Simulation::new(SimulationConfig {
-            class: TrafficClass::RealTime,
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        assert_eq!(rt.scheme, EccScheme::Uncoded);
-        assert!(rt.stats.mean_latency_ns() < bulk.stats.mean_latency_ns());
-        assert!(rt.channel_power_mw > bulk.channel_power_mw);
-        assert!(rt.stats.energy_per_bit_pj() > 0.0);
-    }
-
-    #[test]
-    fn hotspot_congestion_increases_latency() {
-        let uniform = Simulation::new(quick_config()).unwrap().run();
-        let hotspot = Simulation::new(SimulationConfig {
-            pattern: TrafficPattern::Hotspot {
-                destination: 0,
-                messages_per_node: 15,
-            },
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        assert!(hotspot.stats.mean_latency_ns() > uniform.stats.mean_latency_ns());
-    }
-
-    #[test]
-    fn deadlines_are_tracked() {
-        let report = Simulation::new(SimulationConfig {
-            class: TrafficClass::RealTime,
-            pattern: TrafficPattern::Hotspot {
-                destination: 1,
-                messages_per_node: 30,
-            },
-            deadline_slack_ns: Some(10.0),
-            mean_inter_arrival_ns: 0.5,
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        // A congested hotspot with tight deadlines must miss some of them.
-        assert!(report.stats.deadline_misses > 0);
-        assert!(report.stats.deadline_miss_rate() <= 1.0);
-    }
-
-    #[test]
-    fn runs_are_reproducible() {
-        let a = Simulation::new(quick_config()).unwrap().run();
-        let b = Simulation::new(quick_config()).unwrap().run();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn residual_errors_are_rare_at_strict_ber() {
-        let report = Simulation::new(quick_config()).unwrap().run();
-        // At BER 1e-11 the expected number of corrupted words over this run
-        // is far below one.
-        assert_eq!(report.stats.corrupted_bits, 0);
-        assert!((report.stats.observed_ber() - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relaxed_ber_multimedia_run_still_delivers_everything() {
-        let report = Simulation::new(SimulationConfig {
-            class: TrafficClass::Multimedia,
-            nominal_ber: 1e-6,
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        assert_eq!(
-            report.stats.delivered_messages,
-            report.stats.injected_messages
-        );
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        assert!(matches!(
-            Simulation::new(SimulationConfig {
-                oni_count: 1,
-                ..quick_config()
-            }),
-            Err(SimulationError::InvalidConfiguration { .. })
-        ));
-        assert!(matches!(
-            Simulation::new(SimulationConfig {
-                words_per_message: 0,
-                ..quick_config()
-            }),
-            Err(SimulationError::InvalidConfiguration { .. })
-        ));
-        assert!(matches!(
-            Simulation::new(SimulationConfig {
-                nominal_ber: 0.7,
-                ..quick_config()
-            }),
-            Err(SimulationError::InvalidConfiguration { .. })
-        ));
-        for bad_inter_arrival in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let err = Simulation::new(SimulationConfig {
-                mean_inter_arrival_ns: bad_inter_arrival,
-                ..quick_config()
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, SimulationError::InvalidConfiguration { .. }),
-                "{bad_inter_arrival}"
-            );
-            assert!(err.to_string().contains("inter-arrival"));
-        }
-    }
-
-    #[test]
-    fn observed_ber_tracks_the_decoded_ber_at_a_relaxed_target() {
-        // A deliberately loose BER target makes residual errors frequent
-        // enough to measure: the sampled corrupted-bit count must land near
-        // `decoded_ber × delivered_bits`, pinning both the per-word error
-        // draw and the conditional bits-per-bad-word sampling.
-        let report = Simulation::new(SimulationConfig {
-            oni_count: 8,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 60,
-            },
-            words_per_message: 32,
-            nominal_ber: 1e-3,
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        let expected_ber = report.decoded_ber;
-        assert!(expected_ber >= 1e-3, "decoded BER meets the nominal target");
-        let observed = report.stats.observed_ber();
-        assert!(
-            observed > expected_ber * 0.7 && observed < expected_ber * 1.3,
-            "observed {observed:e} vs decoded {expected_ber:e}"
-        );
-        // Bits are counted per corrupted word (≥ 1 each), so the bit count
-        // can never undercut the word count.
-        assert!(report.stats.corrupted_bits >= report.stats.corrupted_words);
-        assert!(report.stats.corrupted_words > 0);
-        let wer = report.stats.observed_word_error_rate();
-        let expected_wer = 1.0 - (1.0 - expected_ber).powi(64);
-        assert!(
-            wer > expected_wer * 0.7 && wer < expected_wer * 1.3,
-            "word error rate {wer} vs {expected_wer}"
-        );
-    }
 
     #[test]
     fn conditional_corrupted_bit_sampling_matches_the_conditional_mean() {
@@ -626,216 +223,5 @@ mod tests {
         // Degenerate inputs stay in range.
         assert_eq!(conditional_corrupted_bits(&mut rng, 64, 0.0), 1);
         assert_eq!(conditional_corrupted_bits(&mut rng, 64, 1.0), 64);
-    }
-
-    #[test]
-    fn infeasible_class_is_reported() {
-        // Real-time traffic (CT = 1.0 → uncoded only) at an unreachable BER.
-        let err = Simulation::new(SimulationConfig {
-            class: TrafficClass::RealTime,
-            nominal_ber: 1e-12,
-            ..quick_config()
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SimulationError::NoFeasibleConfiguration { .. }
-        ));
-        assert!(err.to_string().contains("RealTime"));
-    }
-
-    #[test]
-    fn energy_charges_static_power_over_wall_clock_and_dynamic_over_occupancy() {
-        let config = quick_config();
-        let sim = Simulation::new(config.clone()).unwrap();
-        let point = sim.decision().point;
-        let per_lane_static = point.power.laser.value() + point.power.tuning.value();
-        let static_fraction = per_lane_static / point.power.per_wavelength_total().value();
-        let static_mw = point.channel_power.value() * static_fraction;
-        let dynamic_mw = point.channel_power.value() - static_mw;
-        let report = sim.run();
-        // Every one of the 6 destination channels holds the baseline decision
-        // for the whole run, so its laser + heaters burn over the makespan;
-        // modulation + codec power only burns while a word is in flight.
-        let expected_static = static_mw * report.stats.makespan_ns * config.oni_count as f64;
-        let expected = expected_static + dynamic_mw * report.stats.channel_busy_ns;
-        assert!((report.stats.energy_pj - expected).abs() / expected < 1e-9);
-        assert!((report.stats.static_energy_pj - expected_static).abs() / expected_static < 1e-9);
-        // The old occupancy-only accounting understated the energy.
-        let occupancy_only = report.channel_power_mw * report.stats.channel_busy_ns;
-        assert!(report.stats.energy_pj > occupancy_only);
-    }
-
-    #[test]
-    fn idle_channels_are_not_free_but_an_empty_run_is() {
-        // Zero traffic: zero makespan, zero residency, zero energy.
-        let empty = Simulation::new(SimulationConfig {
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 0,
-            },
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        assert_eq!(empty.stats.makespan_ns, 0.0);
-        assert_eq!(empty.stats.energy_pj, 0.0);
-        // A single message still charges every idle channel's static power
-        // over the (non-zero) makespan: energy per bit rises at low load.
-        let sparse = Simulation::new(SimulationConfig {
-            pattern: TrafficPattern::Streaming {
-                source: 0,
-                destination: 1,
-                bursts: 1,
-                burst_messages: 1,
-            },
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        let busy = Simulation::new(quick_config()).unwrap().run();
-        assert!(sparse.stats.energy_per_bit_pj() > busy.stats.energy_per_bit_pj());
-    }
-
-    fn thermal_config(environment: onoc_thermal::ThermalEnvironment) -> SimulationConfig {
-        SimulationConfig {
-            oni_count: 12,
-            class: TrafficClass::LatencyFirst,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 8,
-            },
-            thermal: Some(crate::thermal::ThermalScenario::new(environment)),
-            ..quick_config()
-        }
-    }
-
-    #[test]
-    fn ambient_thermal_scenario_matches_the_baseline_run() {
-        let plain = Simulation::new(SimulationConfig {
-            oni_count: 12,
-            class: TrafficClass::LatencyFirst,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 8,
-            },
-            ..quick_config()
-        })
-        .unwrap()
-        .run();
-        let thermal = Simulation::new(thermal_config(
-            onoc_thermal::ThermalEnvironment::paper_ambient(),
-        ))
-        .unwrap()
-        .run();
-        assert_eq!(plain.stats, thermal.stats);
-        let summary = thermal.thermal.unwrap();
-        assert_eq!(summary.reconfigured_messages, 0);
-        assert!(summary
-            .per_oni
-            .iter()
-            .all(|o| o.scheme == EccScheme::Uncoded));
-    }
-
-    #[test]
-    fn hotspot_scenario_splits_the_interconnect_between_schemes() {
-        let report = Simulation::new(thermal_config(onoc_thermal::ThermalEnvironment::Hotspot {
-            base: onoc_units::Celsius::new(30.0),
-            peak: onoc_units::Celsius::new(85.0),
-            center: 0,
-            decay_per_hop: 0.35,
-        }))
-        .unwrap()
-        .run();
-        assert_eq!(report.scheme, EccScheme::Uncoded, "baseline stays uncoded");
-        let summary = report.thermal.unwrap();
-        assert_eq!(summary.distinct_schemes(), 2);
-        assert!(summary.reconfigured_messages > 0);
-        let hot = summary.per_oni.iter().find(|o| o.oni == 0).unwrap();
-        assert_eq!(hot.scheme, EccScheme::Hamming7164);
-        assert!(hot.tuning_power_mw_per_lane > 0.0);
-        let far = summary.per_oni.iter().find(|o| o.oni == 6).unwrap();
-        assert_eq!(far.scheme, EccScheme::Uncoded);
-        assert!(far.temperature_c < hot.temperature_c);
-    }
-
-    #[test]
-    fn transient_heating_reconfigures_mid_run() {
-        // A long uniform-random run under a fast heating transient: early
-        // messages ride uncoded, late messages must switch to H(71,64).
-        let report = Simulation::new(SimulationConfig {
-            mean_inter_arrival_ns: 20.0,
-            ..thermal_config(onoc_thermal::ThermalEnvironment::Transient {
-                start: onoc_units::Celsius::new(25.0),
-                target: onoc_units::Celsius::new(85.0),
-                time_constant_ns: 200.0,
-            })
-        })
-        .unwrap()
-        .run();
-        let summary = report.thermal.unwrap();
-        assert!(summary.reconfigured_messages > 0);
-        assert!(
-            summary.reconfigured_messages < report.stats.delivered_messages,
-            "some early messages should still ride the uncoded path"
-        );
-        // By the end of the run every channel sits hot and coded.
-        assert!(summary
-            .per_oni
-            .iter()
-            .all(|o| o.scheme == EccScheme::Hamming7164));
-    }
-
-    #[test]
-    fn invalid_thermal_scenarios_are_rejected_at_construction() {
-        let err = Simulation::new(thermal_config(onoc_thermal::ThermalEnvironment::Hotspot {
-            base: onoc_units::Celsius::new(30.0),
-            peak: onoc_units::Celsius::new(85.0),
-            center: 0,
-            decay_per_hop: 1.0,
-        }))
-        .unwrap_err();
-        assert!(matches!(err, SimulationError::InvalidConfiguration { .. }));
-        assert!(err.to_string().contains("decay"));
-
-        let err = Simulation::new(thermal_config(
-            onoc_thermal::ThermalEnvironment::Transient {
-                start: onoc_units::Celsius::new(25.0),
-                target: onoc_units::Celsius::new(85.0),
-                time_constant_ns: 0.0,
-            },
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("time constant"));
-
-        let mut config = thermal_config(onoc_thermal::ThermalEnvironment::paper_ambient());
-        config.thermal.as_mut().unwrap().quantization_k = 0.0;
-        let err = Simulation::new(config).unwrap_err();
-        assert!(err.to_string().contains("quantization"));
-    }
-
-    #[test]
-    fn hot_uniform_scenario_for_realtime_is_infeasible() {
-        let err = Simulation::new(SimulationConfig {
-            class: TrafficClass::RealTime,
-            ..thermal_config(onoc_thermal::ThermalEnvironment::Uniform {
-                temperature: onoc_units::Celsius::new(85.0),
-            })
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SimulationError::NoFeasibleConfiguration { .. }
-        ));
-    }
-
-    #[test]
-    fn thermal_runs_are_reproducible() {
-        let config = thermal_config(onoc_thermal::ThermalEnvironment::Hotspot {
-            base: onoc_units::Celsius::new(30.0),
-            peak: onoc_units::Celsius::new(85.0),
-            center: 3,
-            decay_per_hop: 0.5,
-        });
-        let a = Simulation::new(config.clone()).unwrap().run();
-        let b = Simulation::new(config).unwrap().run();
-        assert_eq!(a, b);
     }
 }

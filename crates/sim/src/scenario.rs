@@ -1,11 +1,6 @@
 //! The unified simulation surface: one builder, one run, one report.
 //!
-//! Historically the simulator exposed three divergent entry points —
-//! `Simulation` + `SimulationConfig` (fixed-ambient and prescribed-trace
-//! playback), `ThermalScenario` (the prescribed-trace attachment) and
-//! `FeedbackSimulation` + `FeedbackConfig` (activity-coupled heating) — with
-//! two incompatible report types and duplicated knobs.  [`ScenarioBuilder`]
-//! replaces all of them: it composes
+//! [`ScenarioBuilder`] composes
 //!
 //! * **traffic** (pattern, class, message geometry, arrival process, seed),
 //! * a **thermal model** ([`onoc_thermal::ThermalModelSpec`]: prescribed
@@ -21,9 +16,6 @@
 //! [`RunReport`] — per-ONI state (delivered traffic, temperatures, scheme,
 //! switches, energy split) plus run-level epochs, decisions, switch log,
 //! trajectory and solver-cache counters, whatever combination produced it.
-//!
-//! The legacy entry points survive as thin `#[deprecated]` shims over this
-//! builder and are pinned bit-identical by `tests/scenario_migration.rs`.
 //!
 //! # Example
 //!
@@ -71,9 +63,21 @@ use crate::engine::{
 };
 use crate::packet::{Message, MessageId};
 use crate::stats::SimStats;
-use crate::thermal::{bucket_centre, bucket_index};
 use crate::time::SimTime;
 use crate::traffic::{TrafficGenerator, TrafficPattern};
+
+/// Bucket index of `temperature_c` on a grid of `step_k`-kelvin buckets
+/// centred on multiples of the step: the decision grid of both policies.
+fn bucket_index(temperature_c: f64, step_k: f64) -> i64 {
+    #[allow(clippy::cast_possible_truncation)]
+    let bucket = (temperature_c / step_k).round() as i64;
+    bucket
+}
+
+/// Centre temperature of `bucket` on the same grid.
+fn bucket_centre(bucket: i64, step_k: f64) -> f64 {
+    bucket as f64 * step_k
+}
 
 /// Per-ONI fabrication variation of a scenario's link fleet: every
 /// destination channel becomes its own chip instance, with ring offsets
@@ -217,8 +221,7 @@ impl DecisionPolicy {
     }
 
     /// The default epoch-gated policy (25 ns epochs, 0.5 K buckets, 1.5 K
-    /// deadband, 10 K revert hysteresis — the values of the legacy feedback
-    /// engine).
+    /// deadband, 10 K revert hysteresis).
     #[must_use]
     pub fn epoch_gated() -> Self {
         Self::EpochGated {
@@ -419,9 +422,10 @@ impl ScenarioConfig {
     ///
     /// [`SimulationError::InvalidConfiguration`] for structural problems:
     /// too few ONIs, empty messages, a BER outside (0, 0.5), a degenerate
-    /// arrival process, an invalid thermal model or policy, a per-message
-    /// policy over an activity-coupled model, an invalid stack/variation, or
-    /// a degenerate cache resolution.
+    /// arrival process, a negative or non-finite deadline slack, an invalid
+    /// thermal model or policy, a per-message policy over an
+    /// activity-coupled model, an invalid stack/variation, or a degenerate
+    /// cache resolution.
     pub fn validate(&self) -> Result<(), SimulationError> {
         if self.oni_count < 2 {
             return Err(SimulationError::InvalidConfiguration {
@@ -445,6 +449,13 @@ impl ScenarioConfig {
                     self.mean_inter_arrival_ns
                 ),
             });
+        }
+        if let Some(slack) = self.deadline_slack_ns {
+            if !(slack >= 0.0 && slack.is_finite()) {
+                return Err(SimulationError::InvalidConfiguration {
+                    reason: format!("deadline slack must be non-negative and finite, got {slack}"),
+                });
+            }
         }
         self.thermal
             .validate(self.oni_count)
@@ -1078,8 +1089,11 @@ pub struct RunReport {
     /// Phase boundaries crossed while playing a scheduled workload, in time
     /// order (empty under the per-message policy or an unscheduled model).
     pub phases: Vec<PhaseTransition>,
-    /// Aggregated operating-point cache counters of the manager fleet:
-    /// `misses` is the number of actual photonic-solver invocations.
+    /// Operating-point cache counters of the manager fleet over this
+    /// scenario (build and run): `misses` is the number of actual
+    /// photonic-solver invocations.  Over a shared cache, `hits` and
+    /// `misses` count only this scenario's lookups, while `entries` is the
+    /// cache's size at the end of the run.
     pub solver_cache: CacheCounters,
 }
 
@@ -1247,6 +1261,9 @@ pub struct Scenario {
     /// when one is in play (injected, snapshot-loaded, or snapshot-fresh);
     /// `None` when every manager owns a private cache.
     fleet_cache: Option<SharedOpCache>,
+    /// The fleet cache's counters when the build resolved it: the report
+    /// counts only the lookups made after this point.
+    fleet_cache_start: CacheCounters,
     /// Where to save the fleet cache after the run (see
     /// [`ScenarioBuilder::cache_snapshot`]).
     snapshot_path: Option<PathBuf>,
@@ -1303,6 +1320,9 @@ impl Scenario {
                 None => SharedOpCache::new(),
             });
         }
+        let fleet_cache_start = fleet_cache
+            .as_ref()
+            .map_or_else(CacheCounters::default, SharedOpCache::counters);
         // A homogeneous fleet shares one manager (and one operating-point
         // cache); a heterogeneous fleet — per-ONI chip instances, per-ONI
         // design-time assignments, or crosstalk-scaled topology stacks —
@@ -1541,6 +1561,7 @@ impl Scenario {
             injection_order,
             recorder,
             fleet_cache,
+            fleet_cache_start,
             snapshot_path: cache_setup.snapshot_path,
         })
     }
@@ -1567,13 +1588,6 @@ impl Scenario {
     #[must_use]
     pub fn baseline_decision(&self) -> &ManagerDecision {
         &self.decisions[0]
-    }
-
-    /// All distinct operating points prepared before the run (baseline
-    /// first; per-message policy adds one entry per decision bucket).
-    #[must_use]
-    pub fn decisions(&self) -> &[ManagerDecision] {
-        &self.decisions
     }
 
     /// The design-time wavelength assignments of the fleet, one per ONI —
@@ -1607,10 +1621,20 @@ impl Scenario {
 
     /// Aggregated operating-point cache counters across the manager fleet.
     /// With a fleet-wide cache the handle's own counters are authoritative
-    /// (a per-manager fold would double-count the shared traffic).
+    /// (a per-manager fold would double-count the shared traffic); its hits
+    /// and misses count from the build on, so a cache that outlives the
+    /// scenario reports this scenario's lookups, not its lifetime totals.
+    /// `entries` stays the cache's current size.
     fn cache_counters(&self) -> CacheCounters {
         if let Some(cache) = &self.fleet_cache {
-            return cache.counters();
+            let now = cache.counters();
+            return CacheCounters {
+                // Saturating: a `clear()` between build and run resets the
+                // cache's counters below the start mark.
+                hits: now.hits.saturating_sub(self.fleet_cache_start.hits),
+                misses: now.misses.saturating_sub(self.fleet_cache_start.misses),
+                entries: now.entries,
+            };
         }
         self.managers
             .iter()
@@ -2788,5 +2812,18 @@ impl Scenario {
                 message: id,
             }));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn buckets_quantize_and_round_trip() {
+        assert_eq!(bucket_index(55.0, 0.5), 110);
+        assert_eq!(bucket_index(55.2, 0.5), 110);
+        assert_eq!(bucket_index(55.3, 0.5), 111);
+        assert!((bucket_centre(110, 0.5) - 55.0).abs() < 1e-12);
     }
 }

@@ -2,17 +2,13 @@
 //! noisy optical channel (BSC at the solver's raw BER) → deserializer →
 //! decoder → IP word, across the crate boundaries.
 
-// one pin below intentionally exercises the deprecated `Simulation` shim;
-// the builder path is pinned equivalent in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ecc::monte_carlo::BinarySymmetricChannel;
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::interface::{InterfaceConfig, Receiver, Transmitter};
 use onoc_ecc::link::NanophotonicLink;
 use onoc_ecc::link::TrafficClass;
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{Simulation, SimulationConfig};
+use onoc_ecc::sim::ScenarioBuilder;
 
 #[test]
 fn words_survive_the_channel_at_the_operating_point_raw_ber() {
@@ -77,42 +73,62 @@ fn uncoded_path_fails_where_hamming_succeeds() {
 fn simulator_and_link_agree_on_the_operating_point() {
     let link = NanophotonicLink::paper_link();
     let expected = link.operating_point(EccScheme::Hamming7164, 1e-11).unwrap();
-    let report = Simulation::new(SimulationConfig {
-        oni_count: 12,
-        pattern: TrafficPattern::UniformRandom {
-            messages_per_node: 5,
-        },
-        class: TrafficClass::Bulk,
-        words_per_message: 4,
-        mean_inter_arrival_ns: 5.0,
-        deadline_slack_ns: None,
-        nominal_ber: 1e-11,
-        seed: 11,
-        thermal: None,
-    })
-    .unwrap()
-    .run();
-    assert_eq!(report.scheme, EccScheme::Hamming7164);
-    assert!((report.channel_power_mw - expected.channel_power.value()).abs() < 1e-6);
-    // The simulator charges the static share of the channel power (laser +
-    // ring heaters) over every destination channel's wall-clock residency
-    // and the dynamic share (modulation + codec) over the transfer
-    // occupancy; at this low load the idle-laser term dominates, so the
-    // simulated figure sits well above the active-transfers-only analytic
-    // energy per bit.
-    let static_mw = (expected.power.laser.value() + expected.power.tuning.value()) * 16.0;
-    let dynamic_mw = expected.channel_power.value() - static_mw;
-    let reconstructed =
-        static_mw * report.stats.makespan_ns * 12.0 + dynamic_mw * report.stats.channel_busy_ns;
-    assert!(
-        (report.stats.energy_pj - reconstructed).abs() / reconstructed < 1e-9,
-        "simulated {} vs reconstructed {reconstructed}",
-        report.stats.energy_pj
-    );
-    let analytic = expected.energy_per_bit.value();
-    let simulated = report.stats.energy_per_bit_pj();
-    assert!(
-        simulated > analytic,
-        "idle static power must inflate the simulated figure: {simulated} vs {analytic}"
-    );
+    // (ONIs, messages per source, words per message, mean inter-arrival ns,
+    // seed, whether idle static power dominates): a lightly loaded 12-ONI
+    // ring and a busier 6-ONI one.
+    for (oni_count, messages, words, inter_arrival_ns, seed, idle_dominated) in
+        [(12, 5, 4, 5.0, 11, true), (6, 15, 8, 2.0, 3, false)]
+    {
+        let scenario = ScenarioBuilder::new()
+            .oni_count(oni_count)
+            .pattern(TrafficPattern::UniformRandom {
+                messages_per_node: messages,
+            })
+            .class(TrafficClass::Bulk)
+            .words_per_message(words)
+            .mean_inter_arrival_ns(inter_arrival_ns)
+            .nominal_ber(1e-11)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let point = scenario.baseline_decision().point;
+        let report = scenario.run();
+        assert_eq!(report.baseline_scheme, EccScheme::Hamming7164);
+        assert!((report.baseline_channel_power_mw - expected.channel_power.value()).abs() < 1e-6);
+        assert_eq!(
+            point.channel_power.value().to_bits(),
+            report.baseline_channel_power_mw.to_bits()
+        );
+        // The simulator charges the static share of the channel power (laser
+        // + ring heaters) over every destination channel's wall-clock
+        // residency and the dynamic share (modulation + codec) over the
+        // transfer occupancy.
+        let static_mw = (expected.power.laser.value() + expected.power.tuning.value()) * 16.0;
+        let dynamic_mw = expected.channel_power.value() - static_mw;
+        let expected_static = static_mw * report.stats.makespan_ns * oni_count as f64;
+        let reconstructed = expected_static + dynamic_mw * report.stats.channel_busy_ns;
+        assert!(
+            (report.stats.energy_pj - reconstructed).abs() / reconstructed < 1e-9,
+            "simulated {} vs reconstructed {reconstructed}",
+            report.stats.energy_pj
+        );
+        assert!(
+            (report.stats.static_energy_pj - expected_static).abs() / expected_static < 1e-9,
+            "static {} vs {expected_static}",
+            report.stats.static_energy_pj
+        );
+        // Occupancy-only accounting would understate the energy.
+        let occupancy_only = report.baseline_channel_power_mw * report.stats.channel_busy_ns;
+        assert!(report.stats.energy_pj > occupancy_only);
+        // At low load the idle-laser term dominates, so the simulated figure
+        // sits well above the active-transfers-only analytic energy per bit.
+        if idle_dominated {
+            let analytic = expected.energy_per_bit.value();
+            let simulated = report.stats.energy_per_bit_pj();
+            assert!(
+                simulated > analytic,
+                "idle static power must inflate the simulated figure: {simulated} vs {analytic}"
+            );
+        }
+    }
 }

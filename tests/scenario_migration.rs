@@ -1,20 +1,20 @@
-//! Golden migration tests for the unified scenario surface: the deprecated
-//! entry points (`Simulation` + `ThermalScenario`, `FeedbackSimulation`)
-//! must produce reports **bit-identical** to the same scenario composed
-//! through `ScenarioBuilder`, and the builder itself must be insensitive to
-//! the order its fields are set in.
-
-// The whole point of this file is to exercise the deprecated shims against
-// the builder, so the deprecation lint is silenced here.
-#![allow(deprecated)]
+//! Golden pins for the unified scenario surface, and its builder contract.
+//!
+//! The six goldens at the bottom of this file were captured from
+//! `ScenarioBuilder` runs while the pre-builder entry points still existed
+//! and were asserted bit-identical to them in the same tree: four
+//! per-message runs of the old `Simulation` (fixed ambient, and prescribed
+//! ambient, hotspot and transient environments) and two runs of the old
+//! closed-loop `FeedbackSimulation` (homogeneous and with per-ONI
+//! fabrication variation).  Each pins the report digest plus the two fields
+//! the digest leaves out, the baseline scheme and the solver-cache counters.
+//! The builder itself must also be insensitive to the order its fields are
+//! set in.
 
 use onoc_ecc::ecc::EccScheme;
-use onoc_ecc::link::{CacheCounters, TrafficClass};
+use onoc_ecc::link::{CacheCounters, SharedOpCache, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{
-    DecisionPolicy, FeedbackConfig, FeedbackSimulation, RingVariationConfig, RunReport,
-    ScenarioBuilder, Simulation, SimulationConfig, ThermalScenario,
-};
+use onoc_ecc::sim::{DecisionPolicy, RingVariationConfig, RunReport, ScenarioBuilder};
 use onoc_ecc::thermal::{BankTuningMode, RcNetworkParameters, ThermalEnvironment};
 use onoc_ecc::units::Celsius;
 use proptest::prelude::*;
@@ -31,13 +31,12 @@ struct Golden {
 }
 
 fn assert_golden(report: &RunReport, golden: &Golden) {
-    println!(
-        "digest 0x{:016X}, baseline {:?}, solver cache {:?}",
+    assert_eq!(
         digest(report),
-        report.baseline_scheme,
-        report.solver_cache
+        golden.digest,
+        "report digest 0x{:016X}",
+        digest(report)
     );
-    assert_eq!(digest(report), golden.digest, "report digest");
     assert_eq!(report.baseline_scheme, golden.baseline_scheme);
     assert_eq!(report.solver_cache, golden.solver_cache);
 }
@@ -110,115 +109,13 @@ const VARIATION: RingVariationConfig = RingVariationConfig {
     mode: BankTuningMode::PureHeater,
 };
 
-/// The builder composition equivalent to a legacy `SimulationConfig`.
-fn builder_from_sim(config: &SimulationConfig) -> ScenarioBuilder {
-    let mut builder = ScenarioBuilder::new()
-        .oni_count(config.oni_count)
-        .pattern(config.pattern)
-        .class(config.class)
-        .words_per_message(config.words_per_message)
-        .mean_inter_arrival_ns(config.mean_inter_arrival_ns)
-        .deadline_slack_ns(config.deadline_slack_ns)
-        .nominal_ber(config.nominal_ber)
-        .seed(config.seed);
-    if let Some(scenario) = &config.thermal {
-        builder = builder
-            .prescribed(scenario.environment)
-            .policy(DecisionPolicy::PerMessage {
-                quantization_k: scenario.quantization_k,
-            });
-    }
-    builder
-}
-
-/// The builder composition equivalent to a legacy `FeedbackConfig`.
-fn builder_from_feedback(config: &FeedbackConfig) -> ScenarioBuilder {
-    let mut builder = builder_from_sim(&config.sim)
-        .activity_coupled(config.network)
-        .policy(DecisionPolicy::EpochGated {
-            epoch_ns: config.epoch_ns,
-            quantization_k: config.quantization_k,
-            hysteresis_k: config.hysteresis_k,
-            revert_hysteresis_k: config.revert_hysteresis_k,
-        });
-    if let Some(stack) = config.stack.clone() {
-        builder = builder.stack(stack);
-    }
-    if let Some(variation) = config.variation {
-        builder = builder.variation(variation);
-    }
-    builder
-}
-
-fn sim_config(thermal: Option<ThermalScenario>) -> SimulationConfig {
-    SimulationConfig {
-        oni_count: 8,
-        pattern: TrafficPattern::UniformRandom {
-            messages_per_node: 20,
-        },
-        class: TrafficClass::LatencyFirst,
-        words_per_message: 8,
-        mean_inter_arrival_ns: 4.0,
-        deadline_slack_ns: Some(80.0),
-        nominal_ber: 1e-11,
-        seed: 31,
-        thermal,
-    }
-}
-
-/// Pins the legacy `Simulation` report bit-identical to the builder run.
-fn assert_simulation_equivalent(config: SimulationConfig) -> RunReport {
-    let legacy = Simulation::new(config.clone()).unwrap().run();
-    let unified: RunReport = builder_from_sim(&config).build().unwrap().run();
-    assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
-    assert_eq!(legacy.scheme, unified.baseline_scheme);
-    assert_eq!(
-        legacy.channel_power_mw.to_bits(),
-        unified.baseline_channel_power_mw.to_bits()
-    );
-    assert_eq!(
-        legacy.decoded_ber.to_bits(),
-        unified.baseline_decoded_ber.to_bits()
-    );
-    if let Some(thermal) = &legacy.thermal {
-        assert_eq!(thermal.reconfigured_messages, unified.reconfigured_messages);
-        let active: Vec<_> = unified.active_onis().collect();
-        assert_eq!(thermal.per_oni.len(), active.len());
-        for (legacy_oni, unified_oni) in thermal.per_oni.iter().zip(active) {
-            assert_eq!(legacy_oni.oni, unified_oni.oni);
-            assert_eq!(
-                legacy_oni.temperature_c.to_bits(),
-                unified_oni.final_temperature_c.to_bits()
-            );
-            assert_eq!(legacy_oni.scheme, unified_oni.scheme);
-            assert_eq!(
-                legacy_oni.channel_power_mw.to_bits(),
-                unified_oni.channel_power_mw.to_bits()
-            );
-            assert_eq!(
-                legacy_oni.tuning_power_mw_per_lane.to_bits(),
-                unified_oni.tuning_power_mw_per_lane.to_bits()
-            );
-        }
-    }
-    unified
-}
-
 #[test]
 fn plain_simulation_is_bit_identical_through_the_builder() {
-    assert_golden(
-        &assert_simulation_equivalent(sim_config(None)),
-        &GOLDEN_PLAIN,
-    );
     assert_golden(&per_message_run(None), &GOLDEN_PLAIN);
 }
 
 #[test]
 fn ambient_thermal_scenario_is_bit_identical_through_the_builder() {
-    assert_golden(
-        &assert_simulation_equivalent(sim_config(Some(ThermalScenario::paper_ambient()))),
-        &GOLDEN_AMBIENT,
-    );
     assert_golden(
         &per_message_run(Some(ThermalEnvironment::paper_ambient())),
         &GOLDEN_AMBIENT,
@@ -227,91 +124,16 @@ fn ambient_thermal_scenario_is_bit_identical_through_the_builder() {
 
 #[test]
 fn hotspot_scenario_is_bit_identical_through_the_builder() {
-    let unified = assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
-        ThermalEnvironment::Hotspot {
-            base: Celsius::new(30.0),
-            peak: Celsius::new(85.0),
-            center: 2,
-            decay_per_hop: 0.4,
-        },
-    ))));
-    assert_golden(&unified, &GOLDEN_HOTSPOT);
     assert_golden(&per_message_run(Some(hotspot())), &GOLDEN_HOTSPOT);
 }
 
 #[test]
 fn transient_scenario_is_bit_identical_through_the_builder() {
-    let unified = assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
-        ThermalEnvironment::Transient {
-            start: Celsius::new(25.0),
-            target: Celsius::new(85.0),
-            time_constant_ns: 150.0,
-        },
-    ))));
-    assert_golden(&unified, &GOLDEN_TRANSIENT);
     assert_golden(&per_message_run(Some(transient())), &GOLDEN_TRANSIENT);
-}
-
-fn feedback_config(variation: Option<RingVariationConfig>) -> FeedbackConfig {
-    FeedbackConfig {
-        sim: SimulationConfig {
-            oni_count: 6,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 80,
-            },
-            class: TrafficClass::LatencyFirst,
-            words_per_message: 16,
-            mean_inter_arrival_ns: 8.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 5,
-            thermal: None,
-        },
-        variation,
-        ..FeedbackConfig::default()
-    }
-}
-
-/// Pins the legacy `FeedbackSimulation` report bit-identical to the builder
-/// run.
-fn assert_feedback_equivalent(config: FeedbackConfig) -> RunReport {
-    let legacy = FeedbackSimulation::new(config.clone()).unwrap().run();
-    let unified: RunReport = builder_from_feedback(&config).build().unwrap().run();
-    assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
-    assert_eq!(legacy.baseline_scheme, unified.baseline_scheme);
-    assert_eq!(legacy.epochs, unified.epochs);
-    assert_eq!(legacy.decisions, unified.decisions);
-    assert_eq!(legacy.infeasible_requests, unified.infeasible_requests);
-    assert_eq!(legacy.switch_log, unified.switch_log);
-    assert_eq!(legacy.trajectory, unified.trajectory);
-    assert_eq!(legacy.solver_cache, unified.solver_cache);
-    assert_eq!(legacy.per_oni.len(), unified.per_oni.len());
-    for (legacy_oni, unified_oni) in legacy.per_oni.iter().zip(&unified.per_oni) {
-        assert_eq!(legacy_oni.oni, unified_oni.oni);
-        assert_eq!(
-            legacy_oni.final_temperature_c.to_bits(),
-            unified_oni.final_temperature_c.to_bits()
-        );
-        assert_eq!(
-            legacy_oni.peak_temperature_c.to_bits(),
-            unified_oni.peak_temperature_c.to_bits()
-        );
-        assert_eq!(legacy_oni.scheme, unified_oni.scheme);
-        assert_eq!(
-            legacy_oni.channel_power_mw.to_bits(),
-            unified_oni.channel_power_mw.to_bits()
-        );
-        assert_eq!(legacy_oni.scheme_switches, unified_oni.scheme_switches);
-    }
-    unified
 }
 
 #[test]
 fn homogeneous_feedback_is_bit_identical_through_the_builder() {
-    assert_golden(
-        &assert_feedback_equivalent(feedback_config(None)),
-        &GOLDEN_FEEDBACK,
-    );
     assert_golden(
         &feedback_builder(None).build().unwrap().run(),
         &GOLDEN_FEEDBACK,
@@ -320,12 +142,6 @@ fn homogeneous_feedback_is_bit_identical_through_the_builder() {
 
 #[test]
 fn heterogeneous_feedback_is_bit_identical_through_the_builder() {
-    let unified = assert_feedback_equivalent(feedback_config(Some(RingVariationConfig {
-        sigma_nm: 0.040,
-        seed: 11,
-        mode: BankTuningMode::PureHeater,
-    })));
-    assert_golden(&unified, &GOLDEN_FEEDBACK_VARIED);
     assert_golden(
         &feedback_builder(Some(VARIATION)).build().unwrap().run(),
         &GOLDEN_FEEDBACK_VARIED,
@@ -333,17 +149,36 @@ fn heterogeneous_feedback_is_bit_identical_through_the_builder() {
 }
 
 #[test]
+fn solver_cache_counts_only_its_own_scenario_over_a_shared_cache() {
+    // Two scenarios in a row over one injected cache: the first solves
+    // every point, the second finds them all cached.  Each report counts
+    // its own lookups, not the cache's lifetime totals.
+    let cache = SharedOpCache::new();
+    let run = || {
+        feedback_builder(None)
+            .shared_cache(cache.clone())
+            .build()
+            .unwrap()
+            .run()
+    };
+    let cold = run();
+    let warm = run();
+    assert_eq!(digest(&cold), GOLDEN_FEEDBACK.digest);
+    assert_eq!(digest(&warm), GOLDEN_FEEDBACK.digest);
+    assert!(cold.solver_cache.misses > 0);
+    assert_eq!(warm.solver_cache.misses, 0, "{}", warm.solver_cache);
+    assert_eq!(warm.solver_cache.hits, cold.solver_cache.total());
+    assert_eq!(warm.solver_cache.entries, cold.solver_cache.entries);
+    assert_eq!(cache.counters().misses, cold.solver_cache.misses);
+}
+
+#[test]
 fn sharded_reasks_are_bit_identical_to_the_serial_loop() {
     // Heterogeneous fleets shard their per-ONI epoch re-asks across
     // threads; the ordered merge must keep the whole report (including the
     // aggregated cache counters) bit-identical at every thread count.
-    let config = feedback_config(Some(RingVariationConfig {
-        sigma_nm: 0.040,
-        seed: 11,
-        mode: BankTuningMode::PureHeater,
-    }));
     let run = |threads: usize| {
-        builder_from_feedback(&config)
+        feedback_builder(Some(VARIATION))
             .threads(threads)
             .build()
             .unwrap()
@@ -368,7 +203,7 @@ fn sharded_reasks_are_bit_identical_to_the_serial_loop() {
 
 #[test]
 fn epoch_gated_policy_now_drives_prescribed_models_too() {
-    // A combination neither legacy entry point could express: the feedback
+    // A combination neither pre-builder entry point could express: the feedback
     // engine's hysteresis machinery over a *prescribed* transient trace.
     let report = ScenarioBuilder::new()
         .oni_count(6)
@@ -579,6 +414,8 @@ proptest! {
     }
 }
 
+// Captured from the builder while the equivalent `Simulation` and
+// `FeedbackSimulation` runs were asserted bit-identical to it.
 const GOLDEN_PLAIN: Golden = Golden {
     digest: 0xC3A6_B8C9_6072_5934,
     baseline_scheme: EccScheme::Uncoded,

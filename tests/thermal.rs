@@ -2,15 +2,10 @@
 //! temperature sweep acceptance behaviour, the runtime manager's thermal
 //! switching, and the simulator's scenario playback.
 
-// the prescribed-scenario pins below intentionally exercise the deprecated
-// `Simulation`/`ThermalScenario` shims; the builder path is pinned equivalent
-// in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{LinkManager, NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{Simulation, SimulationConfig, ThermalScenario};
+use onoc_ecc::sim::{DecisionPolicy, ScenarioBuilder};
 use onoc_ecc::thermal::{RingThermalModel, ThermalEnvironment, ThermalTuner};
 use onoc_ecc::units::{Celsius, KelvinDelta};
 
@@ -130,41 +125,57 @@ fn drift_model_invariants_hold_over_the_sweep() {
 
 #[test]
 fn transient_scenario_switches_schemes_mid_run() {
-    let config = SimulationConfig {
-        oni_count: 8,
-        pattern: TrafficPattern::UniformRandom {
-            messages_per_node: 10,
-        },
-        class: TrafficClass::LatencyFirst,
-        words_per_message: 8,
-        mean_inter_arrival_ns: 25.0,
-        deadline_slack_ns: None,
-        nominal_ber: 1e-11,
-        seed: 21,
-        thermal: Some(ThermalScenario::new(ThermalEnvironment::Transient {
-            start: Celsius::new(25.0),
-            target: Celsius::new(85.0),
-            time_constant_ns: 100.0,
-        })),
-    };
-    let report = Simulation::new(config).unwrap().run();
-    let thermal = report.thermal.unwrap();
-    assert!(thermal.reconfigured_messages > 0, "the heat-up must bite");
-    assert!(thermal.reconfigured_messages < report.stats.delivered_messages);
-    // Most destinations take their last message hot (coded); a destination
-    // whose traffic all landed early may legitimately finish uncoded.
-    let coded = thermal
-        .per_oni
-        .iter()
-        .filter(|o| o.scheme == EccScheme::Hamming7164)
-        .count();
-    assert!(
-        2 * coded > thermal.per_oni.len(),
-        "only {coded}/{} destinations ended coded",
-        thermal.per_oni.len()
-    );
-    assert_eq!(
-        report.stats.delivered_messages,
-        report.stats.injected_messages
-    );
+    // (ONIs, messages per source, mean inter-arrival ns, time constant ns,
+    // seed, whether every destination must end coded).
+    for (oni_count, messages, inter_arrival_ns, time_constant_ns, seed, all_coded) in [
+        (8, 10, 25.0, 100.0, 21, false),
+        (12, 8, 20.0, 200.0, 3, true),
+    ] {
+        let report = ScenarioBuilder::new()
+            .oni_count(oni_count)
+            .pattern(TrafficPattern::UniformRandom {
+                messages_per_node: messages,
+            })
+            .class(TrafficClass::LatencyFirst)
+            .words_per_message(8)
+            .mean_inter_arrival_ns(inter_arrival_ns)
+            .nominal_ber(1e-11)
+            .seed(seed)
+            .prescribed(ThermalEnvironment::Transient {
+                start: Celsius::new(25.0),
+                target: Celsius::new(85.0),
+                time_constant_ns,
+            })
+            .policy(DecisionPolicy::per_message())
+            .build()
+            .unwrap()
+            .run();
+        assert!(report.reconfigured_messages > 0, "the heat-up must bite");
+        assert!(
+            report.reconfigured_messages < report.stats.delivered_messages,
+            "some early messages should still ride the uncoded path"
+        );
+        // Most destinations take their last message hot (coded); a
+        // destination whose traffic all landed early may legitimately finish
+        // uncoded, unless the run outlasts the transient everywhere.
+        let active = report.active_onis().count();
+        let coded = report
+            .active_onis()
+            .filter(|o| o.scheme == EccScheme::Hamming7164)
+            .count();
+        assert!(
+            2 * coded > active,
+            "seed {seed}: only {coded}/{active} destinations ended coded"
+        );
+        if all_coded {
+            assert_eq!(
+                coded, active,
+                "seed {seed}: every channel ends hot and coded"
+            );
+        }
+        assert_eq!(
+            report.stats.delivered_messages,
+            report.stats.injected_messages
+        );
+    }
 }

@@ -2,15 +2,11 @@
 //! fabrication variation, the worst-ring link budget, barrel-shift channel
 //! hopping and the heterogeneous feedback fleets.
 
-// these pins intentionally exercise the deprecated `FeedbackSimulation` shim;
-// the builder path is pinned equivalent in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{LinkManager, NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{FeedbackConfig, FeedbackSimulation, RingVariationConfig, SimulationConfig};
-use onoc_ecc::thermal::{BankTuningMode, FabricationVariation};
+use onoc_ecc::sim::{DecisionPolicy, RingVariationConfig, ScenarioBuilder};
+use onoc_ecc::thermal::{BankTuningMode, FabricationVariation, RcNetworkParameters};
 use onoc_ecc::units::Celsius;
 
 fn varied_link(sigma_nm: f64, mode: BankTuningMode) -> NanophotonicLink {
@@ -139,39 +135,55 @@ fn worst_ring_sets_the_budget_of_a_varied_bank() {
 #[test]
 fn heterogeneous_fleet_switches_at_different_times() {
     // With per-ONI chip instances the self-heating switch points de-cluster:
-    // the switch log must show distinct temperatures across ONIs.
-    let config = FeedbackConfig {
-        sim: SimulationConfig {
-            oni_count: 8,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 120,
-            },
-            class: TrafficClass::LatencyFirst,
-            words_per_message: 16,
-            mean_inter_arrival_ns: 8.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 5,
-            thermal: None,
-        },
-        variation: Some(RingVariationConfig {
-            sigma_nm: 0.040,
-            seed: 11,
-            mode: BankTuningMode::PureHeater,
-        }),
-        ..FeedbackConfig::default()
-    };
-    let report = FeedbackSimulation::new(config).unwrap().run();
-    assert_eq!(
-        report.stats.delivered_messages,
-        report.stats.injected_messages
-    );
-    assert!(report.total_switches() > 0);
-    let mut switch_temps: Vec<f64> = report.switch_log.iter().map(|s| s.temperature_c).collect();
-    switch_temps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    switch_temps.dedup();
-    assert!(
-        switch_temps.len() > 1,
-        "all chips switched at the same temperature: {switch_temps:?}"
-    );
+    // the switch log must show distinct temperatures across ONIs, and
+    // different chip instances pay different bills.
+    for variation_seed in [11, 7] {
+        let run = || {
+            ScenarioBuilder::new()
+                .oni_count(8)
+                .pattern(TrafficPattern::UniformRandom {
+                    messages_per_node: 120,
+                })
+                .class(TrafficClass::LatencyFirst)
+                .words_per_message(16)
+                .mean_inter_arrival_ns(8.0)
+                .nominal_ber(1e-11)
+                .seed(5)
+                .activity_coupled(RcNetworkParameters::paper_package())
+                .policy(DecisionPolicy::epoch_gated())
+                .variation(RingVariationConfig {
+                    sigma_nm: 0.040,
+                    seed: variation_seed,
+                    mode: BankTuningMode::PureHeater,
+                })
+                .build()
+                .unwrap()
+                .run()
+        };
+        let report = run();
+        assert_eq!(
+            report.stats.delivered_messages,
+            report.stats.injected_messages
+        );
+        assert!(report.total_switches() > 0);
+        let mut switch_temps: Vec<f64> =
+            report.switch_log.iter().map(|s| s.temperature_c).collect();
+        switch_temps.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        switch_temps.dedup();
+        assert!(
+            switch_temps.len() > 1,
+            "all chips switched at the same temperature: {switch_temps:?}"
+        );
+        let powers: Vec<u64> = report
+            .per_oni
+            .iter()
+            .map(|o| o.channel_power_mw.to_bits())
+            .collect();
+        assert!(
+            powers.windows(2).any(|w| w[0] != w[1]),
+            "heterogeneous fleet produced identical channels: {powers:?}"
+        );
+        // And the runs stay reproducible.
+        assert_eq!(report, run());
+    }
 }
